@@ -67,6 +67,15 @@ def _ints_arg(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t)
 
 
+def _budget_arg(text: str) -> float:
+    k = float(text)
+    if not k > 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be greater than 1 so that kappa = sqrt(1/k) < 1, got {text}"
+        )
+    return k
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="signedpolar", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -77,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s1", type=_labels_arg, default=())
     q.add_argument("--s2", type=_labels_arg, default=())
     q.add_argument("--kappa", type=float, default=0.9)
-    q.add_argument("--k", type=float, default=None,
-                   help="volume budget; sets kappa = sqrt(1/k)")
+    q.add_argument("--k", type=_budget_arg, default=None,
+                   help="volume budget k > 1; sets kappa = sqrt(1/k)")
     q.add_argument("--eps", type=float, default=1e-3)
     q.add_argument("--cg-tol", type=float, default=1e-8)
     q.add_argument("--emit-vector", action="store_true")

@@ -85,10 +85,7 @@ class SignedGraph:
             raise GraphError(f"unknown node label: {label!r}") from None
 
     def volume(self, nodes: Iterable[int]) -> float:
-        idx = as_node_set(self, nodes)
-        if not idx:
-            return 0.0
-        return float(self.degrees[sorted(idx)].sum())
+        return float(self.degrees[_node_indices(self, nodes)].sum())
 
     def is_connected(self) -> bool:
         if "connected" not in self._cache:
@@ -100,13 +97,25 @@ class SignedGraph:
         return self._cache["connected"]
 
 
+def _node_indices(g: SignedGraph, nodes: Iterable[int]) -> np.ndarray:
+    """Validate a collection of node indices against ``g``; return them
+    sorted and without repeats (by sorting: ``np.unique`` is slower here)."""
+    if isinstance(nodes, np.ndarray):
+        idx = nodes.astype(np.int64)
+    else:
+        idx = np.fromiter(nodes, dtype=np.int64)
+    idx.sort()
+    if not idx.size:
+        return idx
+    if idx[0] < 0 or idx[-1] >= g.node_count:
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise GraphError(f"node index {bad} out of range [0, {g.node_count})")
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+
+
 def as_node_set(g: SignedGraph, nodes: Iterable[int]) -> frozenset[int]:
     """Validate a collection of node indices against ``g`` and freeze it."""
-    out = frozenset(int(i) for i in nodes)
-    for i in out:
-        if not 0 <= i < g.node_count:
-            raise GraphError(f"node index {i} out of range [0, {g.node_count})")
-    return out
+    return frozenset(_node_indices(g, nodes).tolist())
 
 
 @dataclass(frozen=True)
@@ -207,15 +216,14 @@ def build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGraph:
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
-    c1 = as_node_set(g, c1)
-    c2 = as_node_set(g, c2)
-    if c1 & c2:
-        raise GraphError(f"bands overlap on nodes {sorted(c1 & c2)}")
+    c1 = _node_indices(g, c1)
+    c2 = _node_indices(g, c2)
     side = np.zeros(g.node_count, dtype=np.int8)
-    if c1:
-        side[sorted(c1)] = 1
-    if c2:
-        side[sorted(c2)] = -1
+    side[c1] = 1
+    both = c2[side[c2] == 1]
+    if both.size:
+        raise GraphError(f"bands overlap on nodes {both.tolist()}")
+    side[c2] = -1
     return side
 
 
@@ -258,17 +266,17 @@ def beta(g: SignedGraph, c1, c2) -> float:
 
 def community(g: SignedGraph, c1, c2) -> Community:
     """Assemble a :class:`Community` with its counts, volume, and ratio."""
-    c1 = as_node_set(g, c1)
-    c2 = as_node_set(g, c2)
+    c1 = _node_indices(g, c1)
+    c2 = _node_indices(g, c2)
     counts = edge_counts(g, c1, c2)
-    union = c1 | c2
-    if not union:
+    union = np.sort(np.concatenate((c1, c2)))  # disjoint: edge_counts checked
+    if not union.size:
         raise GraphError("both bands are empty")
-    vol = float(g.degrees[sorted(union)].sum())
+    vol = float(g.degrees[union].sum())
     num = 2.0 * counts.pos_across + counts.neg_in_1 + counts.neg_in_2 + counts.boundary
     return Community(
-        c1=tuple(sorted(c1)),
-        c2=tuple(sorted(c2)),
+        c1=tuple(c1.tolist()),
+        c2=tuple(c2.tolist()),
         beta=num / vol,
         counts=counts,
         volume=vol,

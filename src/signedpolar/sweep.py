@@ -3,8 +3,17 @@
 Thresholding x at t > 0 yields the bands (x >= t, x <= -t); the sweep picks
 the t minimizing the signed bipartiteness ratio. ``naive_sweep`` recomputes
 the ratio from scratch at every candidate threshold (O(m) each) and serves
-as the reference; ``fast_sweep`` fills incremental prefix tables over three
-node orderings and evaluates every candidate in O(m + n log n) total.
+as the reference; ``fast_sweep`` sorts the nodes once by |x| and fills the
+ratio of every prefix of that order with one edge pass, O(m + n log n) total.
+
+The pass works because an edge's class depends only on the signs of its
+endpoints, never on the threshold. A prefix's volume counts each edge
+leaving it once (the boundary weight |w|) and each edge inside it twice, so
+its contradicting weight is its volume plus, per inside edge, the edge's
+contradiction weight (2w if positive across the bands, |w| if negative
+within one, else 0) minus 2|w|. An edge is inside from prefix ``hi + 1`` on,
+``hi`` being the later rank of its endpoints in the |x| order, so one
+``bincount`` over ``hi`` and a cumulative sum give every prefix.
 
 Entries with x == 0 are never placed in a band: only strictly positive
 thresholds are candidates. The smallest positive threshold already assigns
@@ -21,73 +30,29 @@ import numpy as np
 
 from .graph import Community, GraphError, SignedGraph, community
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 
 class SweepError(ValueError):
     """Raised for unsweepable input (e.g. the all-zero vector)."""
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _accumulate_kernel(eu, ev, w, rank, nz, inpos, inneg):
-        # Single allocation-free pass: each edge lands at the prefix where
-        # its later-ranked endpoint enters; rank == nz marks zero entries.
-        for e in range(eu.shape[0]):
-            ru = rank[eu[e]]
-            rv = rank[ev[e]]
-            r = ru if ru > rv else rv
-            if r < nz:
-                we = w[e]
-                if we > 0.0:
-                    inpos[r + 1] += 2.0 * we
-                else:
-                    inneg[r + 1] -= 2.0 * we
-
-
 @dataclass(frozen=True)
 class SweepTable:
-    """Per-prefix counters over the three sweep orderings.
+    """Per-prefix ratio terms over the |x|-descending node order.
 
-    Orderings: ``order_abs`` descends by |x|, ``order_pos`` by x, and
-    ``order_neg`` by -x, each restricted to nonzero entries and tie-broken
-    as described in the module docstring. All prefix arrays have length
-    ``nz + 1`` with a leading zero, so index i refers to the top-i prefix.
-
-    The ``in*`` arrays count both endpoints of each internal edge (matching
-    how prefix volumes count them), hence ``cut = vol - in`` per ordering
-    and the actual internal weight of a prefix is ``in / 2``.
+    ``order_abs`` holds the nonzero entries of x, tie-broken as described in
+    the module docstring, and ``abs_values`` their |x|. The prefix arrays
+    have length ``nz + 1`` with a leading zero (NaN for ``beta_prefix``), so
+    index i refers to the top-i prefix, whose bands are its positive and
+    negative entries. ``threshold_end[i]`` marks the prefixes that end a tie
+    group of |x|, the only ones a threshold can produce. ``numerator`` is the
+    contradicting edge weight of each prefix, ``vol_abs`` its volume, and
+    ``edge_visits`` the number of edges the build passed over.
     """
 
     order_abs: np.ndarray
-    order_pos: np.ndarray
-    order_neg: np.ndarray
-    j_of: np.ndarray
-    k_of: np.ndarray
     abs_values: np.ndarray
     threshold_end: np.ndarray
     vol_abs: np.ndarray
-    volpos_abs: np.ndarray
-    volneg_abs: np.ndarray
-    inpos_abs: np.ndarray
-    inneg_abs: np.ndarray
-    cutpos_abs: np.ndarray
-    cutneg_abs: np.ndarray
-    cut_abs: np.ndarray
-    inpos_pos: np.ndarray
-    inneg_pos: np.ndarray
-    cutpos_pos: np.ndarray
-    cutneg_pos: np.ndarray
-    inpos_neg: np.ndarray
-    inneg_neg: np.ndarray
-    cutpos_neg: np.ndarray
-    cutneg_neg: np.ndarray
     numerator: np.ndarray
     beta_prefix: np.ndarray
     edge_visits: int
@@ -106,132 +71,45 @@ def _check_vector(g: SignedGraph, x) -> np.ndarray:
     return x
 
 
-def _prefix_pass(g, order, nz, split):
-    """One edge pass for a single ordering.
-
-    Each edge contributes its (doubled) weight to the prefix where its later
-    endpoint enters; edges touching a node outside the ordering (x == 0)
-    never become internal. ``split`` carries the sign-partitioned endpoint
-    and doubled-weight arrays for the vectorized fallback path. Returns
-    (inpos, inneg, cutpos, cutneg, volpos, volneg), each of length nz + 1.
-    """
-    rank = np.full(g.node_count, nz, dtype=np.int32)  # zeros stay unranked
-    rank[order] = np.arange(nz, dtype=np.int32)
-    if _HAVE_NUMBA:
-        inpos = np.zeros(nz + 1)
-        inneg = np.zeros(nz + 1)
-        _accumulate_kernel(g.edge_u, g.edge_v, g.edge_w, rank, nz, inpos, inneg)
-    else:
-        pu, pv, pw2, nu, nv, nw2 = split
-        later = np.maximum(rank[pu], rank[pv])
-        keep = later < nz
-        inpos = np.bincount(later[keep].astype(np.int64) + 1, weights=pw2[keep],
-                            minlength=nz + 1)
-        later = np.maximum(rank[nu], rank[nv])
-        keep = later < nz
-        inneg = np.bincount(later[keep].astype(np.int64) + 1, weights=nw2[keep],
-                            minlength=nz + 1)
-    inpos = np.cumsum(inpos)
-    inneg = np.cumsum(inneg)
-    volpos = np.concatenate([[0.0], np.cumsum(g.pos_degrees[order])])
-    volneg = np.concatenate([[0.0], np.cumsum(g.neg_degrees[order])])
-    return inpos, inneg, volpos - inpos, volneg - inneg, volpos, volneg
-
-
 def build_sweep_table(g: SignedGraph, x) -> SweepTable:
-    """Fill all prefix arrays in O(m + n log n): one sort, two derived
-    orderings, then one edge pass per ordering counting only edges whose
-    endpoints are both ranked."""
+    """Fill all prefix arrays in O(m + n log n): one sort, then one edge pass
+    charging each edge at the prefix where its later endpoint enters."""
     x = _check_vector(g, x)
     nodes = np.flatnonzero(x != 0.0)
     nz = len(nodes)
     absx = np.abs(x)
-
-    # One sort suffices: within the x-descending order, positive nodes keep
-    # their |x|-descending relative order and negative nodes appear in the
-    # reversed one (x = |x| on positives, x = -|x| on negatives; equal-|x|
-    # ties carry over). The -x ordering is the mirror image.
     order_abs = nodes[np.lexsort((nodes, -x[nodes], -absx[nodes]))]
-    pos_at = x[order_abs] > 0
-    order_pos = np.concatenate([order_abs[pos_at], order_abs[~pos_at][::-1]])
-    order_neg = np.concatenate([order_abs[~pos_at], order_abs[pos_at][::-1]])
+    rank = np.full(g.node_count, nz, dtype=np.int32)  # zeros stay unranked
+    rank[order_abs] = np.arange(nz, dtype=np.int32)
 
-    if _HAVE_NUMBA:
-        split = None
-    else:
-        posmask = g.edge_w > 0
-        split = (
-            g.edge_u[posmask],
-            g.edge_v[posmask],
-            2.0 * g.edge_w[posmask],
-            g.edge_u[~posmask],
-            g.edge_v[~posmask],
-            -2.0 * g.edge_w[~posmask],
-        )
-
-    inpos_abs, inneg_abs, cutpos_abs, cutneg_abs, volpos_abs, volneg_abs = _prefix_pass(
-        g, order_abs, nz, split
-    )
-    inpos_pos, inneg_pos, cutpos_pos, cutneg_pos, _, _ = _prefix_pass(
-        g, order_pos, nz, split
-    )
-    inpos_neg, inneg_neg, cutpos_neg, cutneg_neg, _, _ = _prefix_pass(
-        g, order_neg, nz, split
-    )
-
-    vol_abs = volpos_abs + volneg_abs
-    cut_abs = cutpos_abs + cutneg_abs
-
-    j_of = np.concatenate([[0], np.cumsum(x[order_abs] > 0)]).astype(np.int64)
-    k_of = np.arange(nz + 1, dtype=np.int64) - j_of
+    hi = np.maximum(rank[g.edge_u], rank[g.edge_v])
+    w = g.edge_w
+    positive = x > 0
+    agree = (positive[g.edge_u] == positive[g.edge_v]) == (w > 0)
+    # contradiction weight - 2|w|: -2|w| if the edge agrees with the bands,
+    # 0 if positive across them, -|w| if negative within one
+    charge = np.where(agree, -2.0 * np.abs(w), np.minimum(w, 0.0))
+    # bin nz + 1 collects the edges touching a zero entry, never inside
+    charge = np.bincount(hi + 1, weights=charge, minlength=nz + 2)[: nz + 1]
+    vol_abs = np.concatenate([[0.0], np.cumsum(g.degrees[order_abs])])
+    numerator = vol_abs + np.cumsum(charge)
 
     abs_sorted = absx[order_abs]
     threshold_end = np.zeros(nz + 1, dtype=bool)
-    if nz:
-        threshold_end[1:nz] = abs_sorted[:-1] > abs_sorted[1:]
-        threshold_end[nz] = True
+    threshold_end[1:nz] = abs_sorted[:-1] > abs_sorted[1:]
+    threshold_end[nz] = True  # nz >= 1: x is not identically zero
 
-    i = np.arange(1, nz + 1)
-    j = j_of[i]
-    k = k_of[i]
-    # cutpos_pos[j] + cutpos_neg[k] - cutpos_abs[i] telescopes to twice the
-    # positive weight across the two bands of prefix i, exactly the doubled
-    # across-term of the ratio's numerator.
-    across2 = cutpos_pos[j] + cutpos_neg[k] - cutpos_abs[i]
-    numerator = np.zeros(nz + 1)
-    numerator[1:] = (
-        across2 + 0.5 * (inneg_pos[j] + inneg_neg[k]) + cut_abs[i]
-    )
     beta_prefix = np.full(nz + 1, np.nan)
     beta_prefix[1:] = numerator[1:] / vol_abs[1:]
 
     return SweepTable(
         order_abs=order_abs,
-        order_pos=order_pos,
-        order_neg=order_neg,
-        j_of=j_of,
-        k_of=k_of,
         abs_values=abs_sorted,
         threshold_end=threshold_end,
         vol_abs=vol_abs,
-        volpos_abs=volpos_abs,
-        volneg_abs=volneg_abs,
-        inpos_abs=inpos_abs,
-        inneg_abs=inneg_abs,
-        cutpos_abs=cutpos_abs,
-        cutneg_abs=cutneg_abs,
-        cut_abs=cut_abs,
-        inpos_pos=inpos_pos,
-        inneg_pos=inneg_pos,
-        cutpos_pos=cutpos_pos,
-        cutneg_pos=cutneg_pos,
-        inpos_neg=inpos_neg,
-        inneg_neg=inneg_neg,
-        cutpos_neg=cutpos_neg,
-        cutneg_neg=cutneg_neg,
         numerator=numerator,
         beta_prefix=beta_prefix,
-        edge_visits=3 * g.edge_count,
+        edge_visits=g.edge_count,
     )
 
 
@@ -243,15 +121,15 @@ def _prefix_community(g: SignedGraph, x, table: SweepTable, i: int) -> Community
 
 
 def fast_sweep(g: SignedGraph, x) -> Community:
-    """Best threshold community via the incremental prefix tables.
+    """Best threshold community via the prefix table.
 
     Candidates are the prefixes ending a tie group of |x| (each corresponds
     to one threshold value); ties in the ratio are broken toward the smaller
     threshold, i.e. the larger community. The returned community's counts
     are recomputed exactly from the edge list.
     """
-    x = _check_vector(g, x)
-    table = build_sweep_table(g, x)
+    table = build_sweep_table(g, x)  # validates x
+    x = np.asarray(x, dtype=np.float64)
     cand = np.flatnonzero(table.threshold_end)
     betas = table.beta_prefix[cand]
     # last position attaining the minimum = smallest winning threshold

@@ -50,7 +50,7 @@ def _scratch_threshold_beta(g, x, t):
 def test_criterion_1_sweep_oracle_equivalence():
     rng = np.random.default_rng(101)
     fast_sweep(build_graph([("a", "b", 1.0), ("b", "c", -1.0)]),
-               np.array([1.0, 0.5, -0.5]))  # jit warmup, excluded from timing
+               np.array([1.0, 0.5, -0.5]))  # warmup, excluded from timing
     cases = []
     for trial in range(50):
         n = int(rng.integers(20, 301))

@@ -44,6 +44,12 @@ class TestQueryCommand:
         code = main(["query", "--graph", str(t3_file), "--s1", "a", "--kappa", "1.0"])
         assert code == 3
 
+    @pytest.mark.parametrize("k", ["0", "0.5", "1", "-1"])
+    def test_volume_budget_at_most_one_is_usage_error(self, t3_file, k, capsys):
+        code = main(["query", "--graph", str(t3_file), "--s1", "a", "--k", k])
+        assert code == 1
+        assert "must be greater than 1" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["query"]) == 1
 

@@ -84,6 +84,18 @@ class TestEdgeCounts:
         with pytest.raises(GraphError, match="overlap"):
             edge_counts(t3, {0}, {0})
 
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 1], np.array([2, 7])])
+    def test_index_out_of_range_rejected(self, t3, bad):
+        with pytest.raises(GraphError, match="out of range"):
+            edge_counts(t3, bad, [])
+        with pytest.raises(GraphError, match="out of range"):
+            community(t3, [], bad)
+
+    def test_repeated_indices_collapse(self, t3):
+        a = community(t3, [1, 0, 1], np.array([2, 2]))
+        b = community(t3, {0, 1}, {2})
+        assert a == b and a.c1 == (0, 1) and a.c2 == (2,)
+
     def test_fields_account_every_incident_edge(self):
         g = make_random_graph(30, 90, seed=3, weighted=True)
         rng = np.random.default_rng(0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signedpolar import (
@@ -38,49 +38,71 @@ class TestNaiveSweep:
 
 class TestSweepTable:
     def test_t3_prefix_arrays(self, t3):
+        # order a (0.9), c (-0.8), b (0.5); the full prefix keeps only the
+        # positive a-c edge across the bands as a contradiction
         t = build_sweep_table(t3, X3)
-        np.testing.assert_allclose(t.vol_abs, [0, 2, 4, 6])
-        np.testing.assert_allclose(t.cut_abs, [0, 2, 2, 0])
-        np.testing.assert_allclose(t.inpos_abs + t.inneg_abs, [0, 0, 2, 6])
+        np.testing.assert_array_equal(t.order_abs, [0, 2, 1])
+        np.testing.assert_array_equal(t.abs_values, [0.9, 0.8, 0.5])
+        np.testing.assert_array_equal(t.threshold_end, [False, True, True, True])
+        np.testing.assert_array_equal(t.vol_abs, [0, 2, 4, 6])
+        np.testing.assert_array_equal(t.numerator, [0, 2, 4, 2])
+        assert np.isnan(t.beta_prefix[0])
         np.testing.assert_allclose(t.beta_prefix[1:], [1.0, 1.0, 1.0 / 3.0])
-        np.testing.assert_array_equal(t.j_of, [0, 1, 1, 2])
-        np.testing.assert_array_equal(t.k_of, [0, 0, 1, 1])
-        assert t.edge_visits == 3 * t3.edge_count
+        assert t.edge_visits == t3.edge_count
 
-    def test_cut_equals_vol_minus_in_per_ordering(self):
+    def test_volume_order_and_tie_groups(self):
         g = make_random_graph(40, 120, seed=2, weighted=True)
-        x = np.random.default_rng(0).standard_normal(g.node_count)
+        x = np.round(np.random.default_rng(0).standard_normal(g.node_count), 1)
         t = build_sweep_table(g, x)
-        np.testing.assert_allclose(t.cutpos_abs, t.volpos_abs - t.inpos_abs)
-        np.testing.assert_allclose(t.cutneg_abs, t.volneg_abs - t.inneg_abs)
+        assert t.vol_abs[0] == 0.0
         np.testing.assert_allclose(
             t.vol_abs[1:] - t.vol_abs[:-1], g.degrees[t.order_abs]
         )
-        np.testing.assert_array_equal(t.j_of + t.k_of, np.arange(t.size + 1))
+        expected = sorted(np.flatnonzero(x), key=lambda u: (-abs(x[u]), -x[u], u))
+        np.testing.assert_array_equal(t.order_abs, expected)
+        np.testing.assert_array_equal(t.abs_values, np.abs(x[t.order_abs]))
+        group_end = np.append(t.abs_values[:-1] != t.abs_values[1:], True)
+        np.testing.assert_array_equal(t.threshold_end[1:], group_end)
+        assert not t.threshold_end[0]
+        assert t.edge_visits == g.edge_count
 
     def test_full_prefix_has_no_boundary(self, t3):
         t = build_sweep_table(t3, X3)
         assert t.vol_abs[-1] == t3.total_volume
-        assert t.cut_abs[-1] == 0.0
+        assert t.numerator[-1] == 2.0  # 2w of the a-c edge, no boundary term
 
     def test_zero_entries_never_ranked(self, t3):
         t = build_sweep_table(t3, np.array([0.4, 0.0, -0.2]))
         assert t.size == 2
         assert set(t.order_abs.tolist()) == {0, 2}
 
-    def test_per_prefix_beta_matches_scratch_recount(self):
-        # every prefix of the tie-broken order, including a 200-node case
-        for n, extra, seed in ((30, 80, 5), (200, 700, 6)):
-            g = make_random_graph(n, extra, seed=seed, weighted=True)
-            x = np.random.default_rng(seed).standard_normal(n)
-            x[np.random.default_rng(seed + 1).random(n) < 0.1] = 0.0
-            t = build_sweep_table(g, x)
-            for i in range(1, t.size + 1):
-                prefix = t.order_abs[:i]
-                c1 = [int(u) for u in prefix if x[u] > 0]
-                c2 = [int(u) for u in prefix if x[u] < 0]
-                expected = scratch_beta(g, c1, c2)
-                assert t.beta_prefix[i] == pytest.approx(expected, rel=1e-12)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 80),
+        weighted=st.booleans(),
+        decimals=st.sampled_from([0, 1, 15]),  # coarse values force ties
+        zero_frac=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    @example(seed=6, n=200, weighted=True, decimals=15, zero_frac=0.1)
+    @settings(max_examples=40, deadline=None)
+    def test_per_prefix_beta_matches_scratch_recount(
+        self, seed, n, weighted, decimals, zero_frac
+    ):
+        # every prefix of the tie-broken order, not only threshold ends
+        rng = np.random.default_rng(seed)
+        g = make_random_graph(n, int(rng.integers(0, 3 * n)), seed=seed % 997,
+                              weighted=weighted)
+        x = np.round(rng.standard_normal(n), decimals)
+        x[rng.random(n) < zero_frac] = 0.0
+        if not np.any(x != 0):
+            x[0] = 1.0
+        t = build_sweep_table(g, x)
+        for i in range(1, t.size + 1):
+            prefix = t.order_abs[:i]
+            c1 = [int(u) for u in prefix if x[u] > 0]
+            c2 = [int(u) for u in prefix if x[u] < 0]
+            expected = scratch_beta(g, c1, c2)
+            assert t.beta_prefix[i] == pytest.approx(expected, rel=1e-12)
 
 
 class TestFastSweep:
@@ -132,19 +154,6 @@ class TestFastSweep:
             x = rng.standard_normal(g.node_count)
             comm = fast_sweep(g, x)
             assert comm.beta <= np.sqrt(2 * rayleigh_quotient(g, x)) + 1e-12
-
-    def test_numpy_fallback_matches_kernel(self, monkeypatch):
-        import signedpolar.sweep as sweep_mod
-
-        g = make_random_graph(60, 180, seed=44, weighted=True)
-        x = np.random.default_rng(2).standard_normal(60)
-        x[np.random.default_rng(3).random(60) < 0.1] = 0.0
-        with_kernel = fast_sweep(g, x)
-        monkeypatch.setattr(sweep_mod, "_HAVE_NUMBA", False)
-        without_kernel = fast_sweep(g, x)
-        assert with_kernel.c1 == without_kernel.c1
-        assert with_kernel.c2 == without_kernel.c2
-        assert with_kernel.beta == without_kernel.beta
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
