@@ -6,6 +6,7 @@ and brute-force certificates for the provable bounds."""
 from .graph import (
     Community,
     EdgeCounts,
+    EdgeList,
     GraphError,
     SeedVector,
     SignedGraph,

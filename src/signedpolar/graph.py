@@ -8,7 +8,8 @@ supported throughout; an unweighted graph is the all-weights-one special case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from itertools import chain
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +18,10 @@ from scipy.sparse.csgraph import connected_components
 Label = Hashable
 
 SEED_NORM_TOL = 1e-10
+# Odd multiplier for multiplicative (Fibonacci) hashing of uint64 keys.
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+# Below this many unfinished runs, _sum_runs sums each run on its own.
+_FEW_RUNS = 64
 
 
 class GraphError(ValueError):
@@ -53,7 +58,7 @@ class SignedGraph:
     def __init__(self, labels, edge_u, edge_v, edge_w):
         self.labels = tuple(labels)
         self.node_count = len(self.labels)
-        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self.label_index = dict(zip(self.labels, range(self.node_count)))
         self.edge_u = np.asarray(edge_u, dtype=np.int64)
         self.edge_v = np.asarray(edge_v, dtype=np.int64)
         self.edge_w = np.asarray(edge_w, dtype=np.float64)
@@ -62,14 +67,11 @@ class SignedGraph:
         col = np.concatenate([self.edge_v, self.edge_u])
         dat = np.concatenate([self.edge_w, self.edge_w])
         self.adjacency = sp.csr_matrix((dat, (row, col)), shape=(n, n))
+        # bincount adds in index order, all edge_u terms before the edge_v ones
         absw = np.abs(self.edge_w)
-        self.degrees = np.zeros(n)
-        np.add.at(self.degrees, self.edge_u, absw)
-        np.add.at(self.degrees, self.edge_v, absw)
+        self.degrees = np.bincount(row, np.concatenate([absw, absw]), minlength=n)
         posw = np.where(self.edge_w > 0, self.edge_w, 0.0)
-        self.pos_degrees = np.zeros(n)
-        np.add.at(self.pos_degrees, self.edge_u, posw)
-        np.add.at(self.pos_degrees, self.edge_v, posw)
+        self.pos_degrees = np.bincount(row, np.concatenate([posw, posw]), minlength=n)
         self.neg_degrees = self.degrees - self.pos_degrees
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
@@ -172,47 +174,153 @@ class SeedVector:
     support: tuple[int, ...]
 
 
-def build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGraph:
+@dataclass(frozen=True, eq=False)
+class EdgeList:
+    """Labeled edges as columns: row ``i`` joins ``labels[u[i]]`` and
+    ``labels[v[i]]`` with weight ``w[i]``.
+
+    Labels must be distinct. A label that no row uses is not a node of the
+    graph built from the list. ``len()`` is the number of rows.
+    """
+
+    labels: Sequence[Label]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    @classmethod
+    def from_tuples(cls, edges: Iterable[tuple[Label, Label, float]]) -> EdgeList:
+        """Pack ``(u, v, w)`` tuples, numbering labels by first appearance."""
+        rows = list(edges)
+        if set(map(len, rows)) - {3}:
+            raise GraphError("every edge must be a (u, v, w) triple")
+        a, b, w = zip(*rows) if rows else ((), (), ())
+        ends = list(chain.from_iterable(zip(a, b)))
+        index = dict(zip(dict.fromkeys(ends), range(len(ends))))
+        ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+        weights = np.fromiter(map(float, w), np.float64, len(w))
+        return cls(list(index), ids[0::2], ids[1::2], weights)
+
+
+def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> SignedGraph:
     """Build an immutable dense-indexed graph from a labeled edge list.
 
-    Duplicate undirected pairs are merged by summing their weights; a pair
-    whose merged weight is exactly zero is dropped. Self-loops and zero
-    input weights are rejected.
+    Nodes are numbered in order of first appearance (row by row, ``u``
+    before ``v``). Duplicate undirected pairs are merged by summing their
+    weights in row order; a pair whose merged weight is exactly zero is
+    dropped. Surviving pairs keep the order of their first row. Self-loops
+    and zero or non-finite input weights are rejected, reporting the first
+    offending row.
     """
-    labels: list[Label] = []
-    index: dict[Label, int] = {}
-    merged: dict[tuple[int, int], float] = {}
+    if not isinstance(edges, EdgeList):
+        edges = EdgeList.from_tuples(edges)
+    # The merge's temporaries are freed before the graph's arrays are built.
+    return SignedGraph(*_merge_edges(edges))
 
-    def intern(lab: Label) -> int:
-        if lab not in index:
-            index[lab] = len(labels)
-            labels.append(lab)
-        return index[lab]
 
-    count = 0
-    for a, b, w in edges:
-        count += 1
-        w = float(w)
-        if a == b:
-            raise GraphError(f"self-loop on node {a!r}")
-        if w == 0.0 or not np.isfinite(w):
-            raise GraphError(f"edge ({a!r}, {b!r}) has invalid weight {w}")
-        i, j = intern(a), intern(b)
-        key = (i, j) if i < j else (j, i)
-        merged[key] = merged.get(key, 0.0) + w
-    if count == 0:
+def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`build_graph` up to the constructor: labels and merged edges."""
+    u = np.asarray(edges.u, dtype=np.int64)
+    v = np.asarray(edges.v, dtype=np.int64)
+    w = np.asarray(edges.w, dtype=np.float64)
+    m = len(w)
+    if u.shape != (m,) or v.shape != (m,):
+        raise GraphError("edge columns u, v, w differ in length")
+    if m == 0:
         raise GraphError("empty edge list")
+    nlab = len(edges.labels)
+    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= nlab:
+        raise GraphError(f"edge endpoint index out of range [0, {nlab})")
+    bad = (u == v) | (w == 0.0) | ~np.isfinite(w)
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = edges.labels[u[i]], edges.labels[v[i]]
+        if u[i] == v[i]:
+            raise GraphError(f"self-loop on node {a!r}")
+        raise GraphError(f"edge ({a!r}, {b!r}) has invalid weight {float(w[i])}")
 
-    eu, ev, ew = [], [], []
-    for (i, j), w in merged.items():
-        if w == 0.0:
-            continue
-        eu.append(i)
-        ev.append(j)
-        ew.append(w)
-    if not eu:
+    # Renumber the used labels by first appearance in u0, v0, u1, v1, ...
+    ends = np.empty(2 * m, dtype=np.int64)
+    ends[0::2] = u
+    ends[1::2] = v
+    first = np.full(nlab, 2 * m)
+    np.minimum.at(first, ends, np.arange(2 * m))
+    used = np.flatnonzero(first < 2 * m)
+    old_ids = used[np.argsort(first[used])]
+    new_id = np.empty(nlab, dtype=np.int64)
+    new_id[old_ids] = np.arange(len(old_ids))
+    n = len(old_ids)
+    labels = [edges.labels[i] for i in old_ids.tolist()]
+    if len(set(labels)) < n:
+        raise GraphError("edge list labels are not distinct")
+    u = new_id[u]
+    v = new_id[v]
+
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    key = lo * n + hi
+    order, skey = group_order(key)
+    start = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
+    size = np.diff(np.append(start, m))
+    # Each pair's sum sits on its first row, so the rows that hold a nonzero
+    # sum, in increasing order, are the surviving pairs in first-appearance order.
+    merged = np.zeros(m)
+    merged[order[start]] = _sum_runs(w[order], start, size)
+    rows = np.flatnonzero(merged)
+    if not rows.size:
         raise GraphError("all edges cancelled during merging")
-    return SignedGraph(labels, eu, ev, ew)
+    return labels, lo[rows], hi[rows], merged[rows]
+
+
+def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A permutation that brings equal keys together, each run in index
+    order, and the keys in that order.
+
+    It groups like ``np.argsort(key, kind="stable")``, but the runs come in
+    hash order, not key order. One ``np.sort`` of uint64 words, each a hash
+    of a key above its index, is several times faster than an argsort. If
+    two different keys share a hash, the stable argsort is used instead.
+    """
+    key = np.asarray(key).astype(np.uint64, copy=False)
+    bits = np.uint64(max(1, (len(key) - 1).bit_length()))
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    packed = key * _HASH_MULT
+    packed &= ~low
+    packed |= np.arange(len(key), dtype=np.uint64)
+    packed.sort()
+    order = (packed & low).view(np.int64)
+    skey = key[order]
+    same_hash = (packed[1:] ^ packed[:-1]) <= low
+    if (same_hash & (skey[1:] != skey[:-1])).any():
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+    return order, skey
+
+
+def _sum_runs(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Sum each run ``x[start[i] : start[i] + size[i]]`` left to right, the
+    way a running ``+=`` does.
+
+    ``np.add.reduceat`` is not used: it adds a run's tail pairwise, so a run
+    of three or more terms can differ from the running sum in the last bit.
+    While many runs are open, one vectorized step adds the next term of
+    each, so there are at most ``len(x) / _FEW_RUNS`` steps. The few longest
+    runs are then summed one by one with ``np.add.accumulate``, which also
+    adds left to right.
+    """
+    total = x[start]
+    run = np.flatnonzero(size > 1)
+    k = 1
+    while run.size >= _FEW_RUNS:
+        total[run] += x[start[run] + k]
+        k += 1
+        run = run[size[run] > k]
+    for i, a, n in zip(run.tolist(), start[run].tolist(), size[run].tolist()):
+        total[i] = np.add.accumulate(x[a : a + n])[-1]
+    return total
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
@@ -340,16 +448,19 @@ def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:
     Components are compared by volume (tie broken toward the component
     containing the smallest node index). Returns the subgraph together with
     the dropped node and edge counts; a connected graph is returned as-is.
+    The returned graph remembers that it is connected, so
+    :meth:`SignedGraph.is_connected` need not search it again.
     """
     ncomp, comp = connected_components(g.adjacency, directed=False)
     if ncomp <= 1:
+        if ncomp == 1:
+            g._cache["connected"] = True
         return g, 0, 0
-    vols = np.zeros(ncomp)
-    np.add.at(vols, comp, g.degrees)
+    vols = np.bincount(comp, g.degrees, minlength=ncomp)
     best = int(np.argmax(vols))
     keep_mask = comp == best
     keep_edges = keep_mask[g.edge_u]
-    labels = [g.labels[i] for i in range(g.node_count) if keep_mask[i]]
+    labels = [g.labels[i] for i in np.flatnonzero(keep_mask).tolist()]
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[keep_mask] = np.arange(keep_mask.sum())
     sub = SignedGraph(
@@ -358,4 +469,5 @@ def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:
         remap[g.edge_v[keep_edges]],
         g.edge_w[keep_edges],
     )
+    sub._cache["connected"] = True
     return sub, int(g.node_count - sub.node_count), int(g.edge_count - sub.edge_count)

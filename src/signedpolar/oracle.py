@@ -5,23 +5,30 @@ is computed by exhaustive enumeration or dense linear algebra: the seeded
 discrete optimum (a local Cheeger-style constant), the relaxation bound
 between the continuous objective and that optimum, the rounding guarantee,
 and first-order optimality residuals of the continuous solution.
+
+``naive_read_edge_list``, ``naive_build_graph`` and ``naive_degrees`` are
+the per-line and per-edge references for the columnar ingest in ``io`` and
+``graph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .graph import (
     Community,
     GraphError,
+    Label,
     SignedGraph,
     as_node_set,
     community,
     rayleigh_quotient,
     seed_vector,
 )
+from .io import IngestError
 from .spectral import smallest_eigenpair, solve_seeded
 from .sweep import fast_sweep
 
@@ -81,6 +88,82 @@ class ApproximationReport:
     h_value: float
     lambda_value: float
     ok: bool
+
+
+def naive_read_edge_list(path) -> list[tuple[str, str, float]]:
+    """Reference for ``io.read_edge_list``: one Python line at a time."""
+    edges = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise IngestError(
+                    f"{path}:{lineno}: expected 'u v w', got {raw.strip()!r}"
+                )
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise IngestError(
+                    f"{path}:{lineno}: weight {parts[2]!r} is not a number"
+                ) from None
+            edges.append((parts[0], parts[1], w))
+    if not edges:
+        raise IngestError(f"{path}: no edges found")
+    return edges
+
+
+def naive_build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGraph:
+    """Reference for ``graph.build_graph``: a dict merge, one edge at a time."""
+    labels: list[Label] = []
+    index: dict[Label, int] = {}
+    merged: dict[tuple[int, int], float] = {}
+
+    def intern(lab: Label) -> int:
+        if lab not in index:
+            index[lab] = len(labels)
+            labels.append(lab)
+        return index[lab]
+
+    count = 0
+    for a, b, w in edges:
+        count += 1
+        w = float(w)
+        if a == b:
+            raise GraphError(f"self-loop on node {a!r}")
+        if w == 0.0 or not np.isfinite(w):
+            raise GraphError(f"edge ({a!r}, {b!r}) has invalid weight {w}")
+        i, j = intern(a), intern(b)
+        key = (i, j) if i < j else (j, i)
+        merged[key] = merged.get(key, 0.0) + w
+    if count == 0:
+        raise GraphError("empty edge list")
+
+    eu, ev, ew = [], [], []
+    for (i, j), w in merged.items():
+        if w == 0.0:
+            continue
+        eu.append(i)
+        ev.append(j)
+        ew.append(w)
+    if not eu:
+        raise GraphError("all edges cancelled during merging")
+    return SignedGraph(labels, eu, ev, ew)
+
+
+def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``SignedGraph.degrees`` and ``pos_degrees``: ``np.add.at``
+    over ``edge_u``, then over ``edge_v``."""
+    absw = np.abs(g.edge_w)
+    posw = np.where(g.edge_w > 0, g.edge_w, 0.0)
+    deg = np.zeros(g.node_count)
+    pos = np.zeros(g.node_count)
+    for ends in (g.edge_u, g.edge_v):
+        np.add.at(deg, ends, absw)
+        np.add.at(pos, ends, posw)
+    return deg, pos
 
 
 def dense_operators(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

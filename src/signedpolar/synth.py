@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import SignedGraph, build_graph, largest_component
+from .graph import EdgeList, SignedGraph, build_graph, largest_component
 
 
 class SynthError(ValueError):
@@ -125,11 +125,7 @@ def generate(params: SynthParams) -> tuple[SignedGraph, GroundTruth]:
     keep = sign != 0
     if not keep.any():
         raise SynthError("parameters produced an empty graph")
-    edges = [
-        (labels[a], labels[b], float(s))
-        for a, b, s in zip(iu[keep], iv[keep], sign[keep])
-    ]
-    g = build_graph(edges)
+    g = build_graph(EdgeList(labels, iu[keep], iv[keep], sign[keep].astype(np.float64)))
 
     truth = GroundTruth(
         pairs=tuple(
