@@ -73,8 +73,8 @@ def query(
     """Solve-then-round for one seed pair; returns a result document.
 
     The document carries the two bands (as labels), the ratio, solver
-    diagnostics, quality metrics, and the solve/round wall times in
-    milliseconds.
+    diagnostics (including the search steps and CG iterations the solve
+    ran), quality metrics, and the solve/round wall times in milliseconds.
     """
     s1 = frozenset(g.index_of(lab) for lab in s1_labels)
     s2 = frozenset(g.index_of(lab) for lab in s2_labels)
@@ -98,6 +98,8 @@ def query(
         "kappa": kappa,
         "objective": sol.objective,
         "constraint_active": sol.constraint_active,
+        "search_steps": sol.search_steps,
+        "cg_iterations": sol.cg_iterations,
         "warnings": list(sol.warnings),
         "metrics": {
             "beta": report.beta,

@@ -4,9 +4,14 @@ The continuous problem minimized here is: find x with x'Dx = 1 and
 x'Ds >= kappa that minimizes x'Lx, where L = D - A is the signed Laplacian
 and s a degree-normalized seed vector. Its optimum lies on a one-parameter
 family x(alpha) ~ (L - alpha*D)^+ D s with alpha below the smallest
-eigenvalue of the normalized Laplacian, so the solver runs a binary search
-on alpha, solving each shifted system with preconditioned conjugate
+eigenvalue lambda1 of the normalized Laplacian, so the solver runs a binary
+search on alpha, solving each shifted system with preconditioned conjugate
 gradients, until the correlation x'Ds lands within ``eps`` of ``kappa``.
+
+The search brackets alpha in [alpha_lo(kappa), lambda1 - delta): the
+spectrum lies in [0, 2], so by the Kantorovich inequality c(alpha) >=
+2*sqrt(r) / (1 + r) with r = (2 - alpha) / (-alpha), for every graph and
+seed; ``shift_lower_bound`` solves that bound for kappa.
 """
 
 from __future__ import annotations
@@ -24,10 +29,6 @@ DENSE_EIG_LIMIT = 512
 
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_CG_TOL = 1e-8
-
-# Bracket lower bound -vol(G) may be extended this many doublings before
-# declaring the requested correlation unreachable.
-MAX_BRACKET_DOUBLINGS = 6
 
 _MAX_SEARCH_STEPS = 200
 
@@ -241,6 +242,13 @@ def correlation_at(
     return c, x, iters
 
 
+def shift_lower_bound(kappa: float) -> float:
+    """alpha_lo = -2 / (R - 1), R = ((1 + q) / kappa)^2, q = sqrt(1 - kappa^2):
+    the shift at which the Kantorovich bound 2*sqrt(r) / (1 + r) is kappa."""
+    q = np.sqrt((1.0 - kappa) * (1.0 + kappa))
+    return float(-kappa * kappa / (q * (1.0 + q)))  # -2 / (R - 1), no cancellation
+
+
 def solve_seeded(
     g: SignedGraph,
     s: SeedVector,
@@ -255,9 +263,11 @@ def solve_seeded(
     constraint is inactive and the eigenvector is returned (its objective,
     the smallest eigenvalue, is the unconstrained minimum). Otherwise the
     correlation c(alpha) of the shifted solves is driven to ``kappa`` by
-    bisection on alpha in [-vol(G), lambda1), relying on c being
-    non-increasing in alpha; bracket validity is checked as the search
-    proceeds and a violation is surfaced as a warning on the solution.
+    bisection on alpha in [alpha_lo(kappa), lambda1 - delta) (see the module
+    docstring), relying on c being non-increasing in alpha; monotonicity is
+    checked as the search proceeds and a violation is surfaced as a warning
+    on the solution. It fails only if ``eps`` is finer than floating point
+    resolves c.
     """
     if not 0.0 <= kappa < 1.0:
         raise SolverError(f"kappa must lie in [0, 1), got {kappa}")
@@ -295,33 +305,19 @@ def solve_seeded(
             warnings=tuple(warnings),
         )
 
-    vol = g.total_volume
     # The guard below lambda1 only needs to absorb the eigenvalue error of
     # the estimate (which does not grow with graph size); a volume-scaled
     # guard would truncate the usable shift range on large graphs.
     delta = max(10.0 * eig_tol, 1e-12)
     hi = lam1 - delta
-    lo = -vol
+    lo = min(shift_lower_bound(kappa), hi)
     total_cg = 0
 
-    c_lo, _, raw_lo, it = _correlation_raw(g, lo, ds, cg_tol, None)
-    total_cg += it
-    doublings = 0
-    while c_lo < kappa and doublings < MAX_BRACKET_DOUBLINGS:
-        lo *= 2.0
-        doublings += 1
-        c_lo, _, raw_lo, it = _correlation_raw(g, lo, ds, cg_tol, None)
-        total_cg += it
-    if c_lo < kappa:
-        raise SolverError(
-            f"correlation {kappa} unreachable: c({lo:.3g}) = {c_lo:.6f} "
-            f"after {doublings} bracket extensions"
-        )
-
     # Invariants maintained below: c(lo) >= kappa, and c(hi) <= kappa
-    # whenever the hi end has been evaluated.
+    # whenever the hi end has been evaluated. c <= 1 by Cauchy-Schwarz.
+    c_lo = 1.0
     c_hi_seen: float | None = None
-    raw_prev = raw_lo
+    raw_prev = None
     steps = 0
     for steps in range(1, _MAX_SEARCH_STEPS + 1):
         mid = 0.5 * (lo + hi)
@@ -349,7 +345,7 @@ def solve_seeded(
         else:
             hi, c_hi_seen = mid, c_mid
         if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            if c_mid >= kappa:
+            if c_hi_seen is None:
                 # Correlation stays above kappa all the way to the guard
                 # band below lambda1: the constraint is inactive but the
                 # bottom eigenspace is degenerate, so the near-eigenvalue
@@ -371,6 +367,6 @@ def solve_seeded(
                 )
             break
     raise SolverError(
-        f"correlation search did not reach |c - {kappa}| <= {eps} "
-        f"in {steps} bisection steps"
+        f"correlation {kappa} unreachable within eps={eps:.3g}: the search "
+        f"stalled at alpha={lo:.6g} after {steps} bisection steps"
     )

@@ -101,6 +101,8 @@ class TestQuery:
         sol = solve_seeded(t3, s, kappa=0.9)
         ref = naive_sweep(t3, sol.x)
         assert doc["beta"] == pytest.approx(ref.beta, rel=1e-9)
+        assert doc["search_steps"] == sol.search_steps >= 1
+        assert doc["cg_iterations"] == sol.cg_iterations >= 1
         assert doc["timings"]["solve_ms"] >= 0
         assert doc["timings"]["round_ms"] >= 0
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedpolar import (
     ConvergenceError,
@@ -15,6 +17,8 @@ from signedpolar import (
     solve_seeded,
     solve_shifted,
 )
+from signedpolar.graph import SeedVector
+from signedpolar.spectral import DEFAULT_EIG_TOL, shift_lower_bound
 from conftest import dense_normalized_laplacian, make_random_graph
 
 
@@ -200,10 +204,19 @@ class TestSolveSeeded:
         with pytest.raises(SolverError):
             solve_seeded(t3, s, kappa=-0.1)
 
-    def test_unreachable_correlation(self, t3):
+    def test_correlation_near_one_is_reached(self, t3):
+        # c reaches kappa only at alpha of order -1e5 on T3
+        s = seed_vector(t3, {0}, {2})
+        kappa = 1 - 1e-12
+        sol = solve_seeded(t3, s, kappa=kappa, eps=1e-9)
+        assert sol.constraint_active
+        assert abs(sol.correlation - kappa) <= 1e-9
+        assert t3.degrees @ (sol.x**2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_eps_below_float_resolution_is_unreachable(self, t3):
         s = seed_vector(t3, {0}, {2})
         with pytest.raises(SolverError, match="unreachable"):
-            solve_seeded(t3, s, kappa=1 - 1e-12, eps=1e-15)
+            solve_seeded(t3, s, kappa=0.9, eps=1e-18)
 
     def test_feasibility_and_normalization_random(self):
         for seed in range(8):
@@ -222,3 +235,94 @@ class TestSolveSeeded:
         sol = solve_seeded(balanced_path, s, kappa=0.0)
         assert sol.lambda1 <= 1e-10
         assert sol.objective <= 1e-10
+
+
+NEARLY_ORTHOGONAL = "nearly D-orthogonal"
+DEGENERATE = "degenerate bottom eigenspace"
+
+
+class TestSolverWarnings:
+    @pytest.fixture
+    def positive_cycle(self):
+        """All-positive 4-cycle a-b-c-d-a: lambda1 = 0 with eigenvector 1,
+        and e_a - e_c lies in the eigenspace of the double eigenvalue 1."""
+        return build_graph([("a", "b", 1.0), ("b", "c", 1.0),
+                            ("c", "d", 1.0), ("d", "a", 1.0)])
+
+    def test_opposite_corners_of_positive_cycle(self, positive_cycle):
+        s = seed_vector(positive_cycle, {0}, {2})
+        sol = solve_seeded(positive_cycle, s, kappa=0.5)
+        assert not sol.constraint_active
+        assert sol.correlation == pytest.approx(1.0, abs=1e-9)
+        assert any(NEARLY_ORTHOGONAL in w for w in sol.warnings)
+        assert any(DEGENERATE in w for w in sol.warnings)
+
+    def test_lower_end_inside_guard_band(self, positive_cycle):
+        # alpha_lo(1e-4) = -5e-9 lies above lambda1 - delta = -1e-7, so the
+        # bracket starts collapsed at the guard.
+        s = seed_vector(positive_cycle, {0}, {2})
+        lam1 = smallest_eigenpair(positive_cycle).lambda1
+        assert shift_lower_bound(1e-4) > lam1 - 10 * DEFAULT_EIG_TOL
+        sol = solve_seeded(positive_cycle, s, kappa=1e-4)
+        assert not sol.constraint_active
+        assert sol.search_steps == 1
+        assert sol.correlation == pytest.approx(1.0, abs=1e-9)
+        assert any(DEGENERATE in w for w in sol.warnings)
+
+    def test_balanced_signed_cycle(self):
+        g = build_graph([("a", "b", 1.0), ("b", "c", -1.0),
+                         ("c", "d", 1.0), ("d", "a", -1.0)])
+        sol = solve_seeded(g, seed_vector(g, {0}, {1}), kappa=0.5)
+        assert not sol.constraint_active
+        assert any(NEARLY_ORTHOGONAL in w for w in sol.warnings)
+        assert any(DEGENERATE in w for w in sol.warnings)
+
+
+def _dense_correlation(g, s, alpha):
+    rootd = np.sqrt(g.degrees)
+    b = rootd * s.values
+    y = np.linalg.solve(dense_normalized_laplacian(g) - alpha * np.eye(g.node_count), b)
+    return abs(float(y @ b)) / (np.linalg.norm(y) * np.linalg.norm(b))
+
+
+class TestShiftLowerBound:
+    def test_bound_is_attained_on_single_edge(self, single_edge):
+        # Lnorm of one edge has eigenvectors u0, u2 for eigenvalues 0 and 2.
+        # The Kantorovich inequality is an equality for the unit vector with
+        # weights sqrt(-a / (2 - 2a)) on u0 and sqrt((2 - a) / (2 - 2a)) on u2,
+        # so c(alpha_lo) is exactly kappa there, and any other constant fails.
+        u0 = np.array([1.0, 1.0]) / np.sqrt(2)
+        u2 = np.array([1.0, -1.0]) / np.sqrt(2)
+        for kappa in (1e-3, 0.3, 0.5, 0.9, 0.999999):
+            a = shift_lower_bound(kappa)
+            b = np.sqrt(-a / (2 - 2 * a)) * u0 + np.sqrt((2 - a) / (2 - 2 * a)) * u2
+            s = SeedVector(values=b / np.sqrt(single_edge.degrees), support=(0, 1))
+            c = _dense_correlation(single_edge, s, a)
+            assert c == pytest.approx(kappa, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(4, 60),
+        extra=st.integers(0, 120),
+        graph_seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+        neg_fraction=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        two_sided=st.booleans(),
+        kappa=st.floats(1e-6, 0.999999),
+    )
+    def test_bracket_lower_end_meets_kappa(
+        self, n, extra, graph_seed, weighted, neg_fraction, two_sided, kappa
+    ):
+        g = make_random_graph(n, extra, seed=graph_seed, weighted=weighted,
+                              neg_fraction=neg_fraction)
+        rng = np.random.default_rng(graph_seed)
+        nodes = rng.permutation(g.node_count)
+        k1 = int(rng.integers(1, g.node_count // 2 + 1))
+        k2 = int(rng.integers(1, g.node_count // 2 + 1)) if two_sided else 0
+        s = seed_vector(g, set(nodes[:k1].tolist()), set(nodes[k1:k1 + k2].tolist()))
+        alpha_lo = shift_lower_bound(kappa)
+        assert _dense_correlation(g, s, alpha_lo) >= kappa - 1e-12
+        # on (nearly) balanced graphs with kappa below about 4.5e-4, alpha_lo
+        # lies inside the guard band below lambda1 and the bracket starts there
+        sol = solve_seeded(g, s, kappa=kappa)
+        assert sol.alpha >= min(alpha_lo, sol.lambda1 - 10 * DEFAULT_EIG_TOL)
