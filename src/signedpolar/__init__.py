@@ -36,7 +36,9 @@ from .oracle import (
     KktReport,
     OracleError,
     RelaxationReport,
+    bisect_shift,
     brute_force_cheeger,
+    correlation_at,
     grid_search_minimum,
     kkt_check,
     verify_approximation,
@@ -47,7 +49,6 @@ from .spectral import (
     EigenPair,
     SolverError,
     SpectralSolution,
-    correlation_at,
     laplacian_apply,
     normalized_laplacian_apply,
     smallest_eigenpair,

@@ -73,8 +73,10 @@ def query(
     """Solve-then-round for one seed pair; returns a result document.
 
     The document carries the two bands (as labels), the ratio, solver
-    diagnostics (including the search steps and CG iterations the solve
-    ran), quality metrics, and the solve/round wall times in milliseconds.
+    diagnostics (including ``search_steps``, the evaluations of the secular
+    correlation in the shift's root find, and ``cg_iterations``, those of
+    the one certifying CG solve), quality metrics, and the solve/round wall
+    times in milliseconds.
     """
     s1 = frozenset(g.index_of(lab) for lab in s1_labels)
     s2 = frozenset(g.index_of(lab) for lab in s2_labels)

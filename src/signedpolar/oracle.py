@@ -8,7 +8,8 @@ and first-order optimality residuals of the continuous solution.
 
 ``naive_read_edge_list``, ``naive_build_graph`` and ``naive_degrees`` are
 the per-line and per-edge references for the columnar ingest in ``io`` and
-``graph``.
+``graph``; ``bisect_shift`` is the one-CG-solve-per-step reference for the
+secular root in ``spectral``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,15 @@ from .graph import (
     seed_vector,
 )
 from .io import IngestError
-from .spectral import smallest_eigenpair, solve_seeded
+from .spectral import (
+    DEFAULT_CG_TOL,
+    DEFAULT_EIG_TOL,
+    SolverError,
+    shift_lower_bound,
+    smallest_eigenpair,
+    solve_seeded,
+    solve_shifted,
+)
 from .sweep import fast_sweep
 
 BRUTE_FORCE_NODE_LIMIT = 16
@@ -164,6 +173,58 @@ def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(deg, ends, absw)
         np.add.at(pos, ends, posw)
     return deg, pos
+
+
+def correlation_at(
+    g: SignedGraph,
+    alpha: float,
+    s,
+    tol: float = DEFAULT_CG_TOL,
+) -> tuple[float, np.ndarray, int]:
+    """Seed correlation of the shifted solve at ``alpha``.
+
+    Solves (L - alpha*D) x = D s, degree-normalizes x, and flips its sign so
+    the correlation x'Ds is nonnegative. Returns (correlation, x, cg_iters).
+    """
+    ds = g.degrees * s.values
+    raw, iters = solve_shifted(g, alpha, ds, tol=tol)
+    norm = float(g.degrees @ (raw * raw))
+    if norm == 0.0:
+        raise SolverError("shifted solve returned the zero vector")
+    x = raw / np.sqrt(norm)
+    c = float(x @ ds)
+    if c < 0:
+        x, c = -x, -c
+    return c, x, iters
+
+
+def bisect_shift(
+    g: SignedGraph,
+    s,
+    kappa: float,
+    eps: float = 1e-3,
+    cg_tol: float = DEFAULT_CG_TOL,
+    eig_tol: float = DEFAULT_EIG_TOL,
+) -> tuple[float, float, np.ndarray]:
+    """Reference for the shift that ``solve_seeded`` finds when the
+    constraint is active: bisection on [min(alpha_lo(kappa), hi), hi],
+    hi = lambda1 - delta, with one cold CG solve per step, until the
+    correlation lies within ``eps`` of ``kappa``. Relies on c(alpha) being
+    non-increasing. Returns (alpha, correlation, x).
+    """
+    lam1 = smallest_eigenpair(g, tol=eig_tol).lambda1
+    hi = lam1 - max(10.0 * eig_tol, 1e-12)
+    lo = min(shift_lower_bound(kappa), hi)
+    while hi - lo > 1e-15 * max(1.0, abs(lo)):
+        mid = 0.5 * (lo + hi)
+        c, x, _ = correlation_at(g, mid, s, tol=cg_tol)
+        if abs(c - kappa) <= eps:
+            return mid, c, x
+        if c > kappa:
+            lo = mid
+        else:
+            hi = mid
+    raise OracleError(f"no shift reaches correlation {kappa} within eps={eps:.3g}")
 
 
 def dense_operators(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,14 +4,21 @@ The continuous problem minimized here is: find x with x'Dx = 1 and
 x'Ds >= kappa that minimizes x'Lx, where L = D - A is the signed Laplacian
 and s a degree-normalized seed vector. Its optimum lies on a one-parameter
 family x(alpha) ~ (L - alpha*D)^+ D s with alpha below the smallest
-eigenvalue lambda1 of the normalized Laplacian, so the solver runs a binary
-search on alpha, solving each shifted system with preconditioned conjugate
-gradients, until the correlation x'Ds lands within ``eps`` of ``kappa``.
+eigenvalue lambda1 of the normalized Laplacian Lnorm. Over pairs
+(theta_i, w_i) of eigenvalues of Lnorm and squared weights of b = D^{1/2} s
+on their eigenvectors, its correlation x'Ds is the secular function
 
-The search brackets alpha in [alpha_lo(kappa), lambda1 - delta): the
-spectrum lies in [0, 2], so by the Kantorovich inequality c(alpha) >=
-2*sqrt(r) / (1 + r) with r = (2 - alpha) / (-alpha), for every graph and
-seed; ``shift_lower_bound`` solves that bound for kappa.
+    c(alpha) = s1 / sqrt(s2),    s_j = sum_i w_i / (theta_i - alpha)^j,
+
+which decreases in alpha. The solver finds the root of c(alpha) = kappa on
+[alpha_lo(kappa), lambda1 - delta]: the spectrum lies in [0, 2], so by the
+Kantorovich inequality c(alpha) >= 2*sqrt(r) / (1 + r) with
+r = (2 - alpha) / (-alpha), for every graph and seed, and
+``shift_lower_bound`` solves that bound for kappa. Up to DENSE_EIG_LIMIT
+nodes the pairs come from the full eigendecomposition that
+``smallest_eigenpair`` computes anyway; above it, from Lanczos on Lnorm
+started at b. One preconditioned conjugate-gradient solve at the root then
+produces x, and its measured correlation certifies the root to ``eps``.
 """
 
 from __future__ import annotations
@@ -20,17 +27,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
-from .graph import SignedGraph, SeedVector, GraphError, rayleigh_quotient
+from .graph import SignedGraph, SeedVector, GraphError
 
-# Graphs up to this size take the dense eigensolver path; above it a
-# matrix-free Lanczos iteration on 2I - Lnorm (spectrum in [0, 2]) is used.
+# Graphs up to this size take the dense eigensolver path and keep the full
+# eigendecomposition; above it a matrix-free Lanczos iteration is used.
 DENSE_EIG_LIMIT = 512
 
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_CG_TOL = 1e-8
 
-_MAX_SEARCH_STEPS = 200
+# Float resolution of a correlation c <= 1: the secular root stops there,
+# and the certificate counts it as error.
+_C_RESOLUTION = 4 * np.finfo(np.float64).eps
+_ROOT_STEPS = 100
+_BREAKDOWN = 1e-12  # a vanishing Lanczos coupling, against |Lnorm| <= 2
 
 
 class SolverError(RuntimeError):
@@ -51,16 +63,24 @@ class EigenPair:
 
     ``v1`` is degree-normalized (v1' D v1 = 1); ``residual`` is the measured
     2-norm eigen-residual in the symmetric (D^{1/2}-scaled) coordinates.
+    ``spectrum`` is the full eigendecomposition (theta, U) of Lnorm when the
+    dense path computed it, and None on the matrix-free path.
     """
 
     lambda1: float
     v1: np.ndarray
     residual: float
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
 class SpectralSolution:
-    """Continuous optimum of the seed-correlated Rayleigh minimization."""
+    """Continuous optimum of the seed-correlated Rayleigh minimization.
+
+    ``cg_iterations`` counts the iterations of the one CG solve that made
+    ``x``, ``search_steps`` the evaluations of c(alpha) in the final root
+    find (>= 1 if the constraint is active); both are 0 for the eigenvector.
+    """
 
     x: np.ndarray
     alpha: float
@@ -94,7 +114,9 @@ def smallest_eigenpair(g: SignedGraph, tol: float = DEFAULT_EIG_TOL) -> EigenPai
     """Smallest eigenpair of the normalized signed Laplacian.
 
     The eigenvalue lies in [0, 2] and is zero exactly when the graph is
-    perfectly balanced. Results are cached on the graph per tolerance.
+    perfectly balanced. Results are cached on the graph per tolerance. On
+    graphs of up to DENSE_EIG_LIMIT nodes the pair also keeps the full
+    eigendecomposition it was read from.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -107,9 +129,10 @@ def smallest_eigenpair(g: SignedGraph, tol: float = DEFAULT_EIG_TOL) -> EigenPai
 
     n = g.node_count
     rootd = np.sqrt(g.degrees)
+    spectrum = None
     if n <= DENSE_EIG_LIMIT:
         lnorm = np.eye(n) - (g.adjacency.toarray() / rootd[:, None]) / rootd[None, :]
-        vals, vecs = np.linalg.eigh(lnorm)
+        spectrum = vals, vecs = np.linalg.eigh(lnorm)
         lam = float(vals[0])
         y = vecs[:, 0]
     else:
@@ -134,7 +157,7 @@ def smallest_eigenpair(g: SignedGraph, tol: float = DEFAULT_EIG_TOL) -> EigenPai
     resid = float(np.linalg.norm(normalized_laplacian_apply(g, y) - lam * y))
     if n > DENSE_EIG_LIMIT and resid > tol:
         raise ConvergenceError("eigen-residual above tolerance", resid)
-    pair = EigenPair(lambda1=lam, v1=y / rootd, residual=resid)
+    pair = EigenPair(lambda1=lam, v1=y / rootd, residual=resid, spectrum=spectrum)
     g._cache[key] = pair
     return pair
 
@@ -145,16 +168,14 @@ def solve_shifted(
     b: np.ndarray,
     tol: float = DEFAULT_CG_TOL,
     max_iter: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve (L - alpha*D) x = b by preconditioned conjugate gradients.
 
     The operator must be positive definite, i.e. alpha below the smallest
     normalized-Laplacian eigenvalue; an indefinite shift is reported through
     the curvature test. Jacobi (degree) preconditioning keeps the iteration
-    count tame for shifts approaching the eigenvalue.
-
-    Returns the solution and the number of CG iterations taken.
+    count tame for shifts approaching the eigenvalue. The iteration starts
+    at x = 0. Returns the solution and the number of CG iterations taken.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.node_count,):
@@ -169,23 +190,12 @@ def solve_shifted(
 
     # diag(L - alpha*D) = (1 - alpha) * deg; alpha < lambda1 <= 1 keeps it positive.
     inv_diag = 1.0 / ((1.0 - alpha) * g.degrees)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return laplacian_apply(g, v) - alpha * (g.degrees * v)
-
-    if x0 is None:
-        x = np.zeros(g.node_count)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = b - apply(x)
-        if float(np.linalg.norm(r)) <= tol * bnorm:
-            return x, 0
-    z = inv_diag * r
-    p = z.copy()
+    x = np.zeros(g.node_count)
+    r = b.copy()
+    p = z = inv_diag * r
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
-        ap = apply(p)
+        ap = laplacian_apply(g, p) - alpha * (g.degrees * p)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise SolverError(
@@ -206,47 +216,74 @@ def solve_shifted(
     )
 
 
-def _correlation_raw(
-    g: SignedGraph,
-    alpha: float,
-    ds: np.ndarray,
-    tol: float,
-    x0: np.ndarray | None,
-) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Correlation plus both the normalized and raw solve (for warm starts:
-    raw solutions at nearby shifts share their scale, normalized ones do not)."""
-    raw, iters = solve_shifted(g, alpha, ds, tol=tol, x0=x0)
-    norm = float(g.degrees @ (raw * raw))
-    if norm == 0.0:
-        raise SolverError("shifted solve returned the zero vector")
-    x = raw / np.sqrt(norm)
-    c = float(x @ ds)
-    if c < 0:
-        x = -x
-        c = -c
-    return c, x, raw, iters
-
-
-def correlation_at(
-    g: SignedGraph,
-    alpha: float,
-    s: SeedVector,
-    tol: float = DEFAULT_CG_TOL,
-) -> tuple[float, np.ndarray, int]:
-    """Seed correlation of the shifted solve at ``alpha``.
-
-    Solves (L - alpha*D) x = D s, degree-normalizes x, and flips its sign so
-    the correlation x'Ds is nonnegative. Returns (correlation, x, cg_iters).
-    """
-    c, x, _, iters = _correlation_raw(g, alpha, g.degrees * s.values, tol, None)
-    return c, x, iters
-
-
 def shift_lower_bound(kappa: float) -> float:
     """alpha_lo = -2 / (R - 1), R = ((1 + q) / kappa)^2, q = sqrt(1 - kappa^2):
     the shift at which the Kantorovich bound 2*sqrt(r) / (1 + r) is kappa."""
     q = np.sqrt((1.0 - kappa) * (1.0 + kappa))
     return float(-kappa * kappa / (q * (1.0 + q)))  # -2 / (R - 1), no cancellation
+
+
+def secular_root(
+    theta: np.ndarray, w: np.ndarray, kappa: float, lo: float, hi: float
+) -> tuple[float, int]:
+    """Root of c(alpha) = kappa on [lo, hi] over the pairs (theta, w), all
+    theta above ``hi``, by Newton steps kept inside the shrinking bracket
+    (bisection otherwise); dc/dalpha = (s2^2 - s1*s3) / s2^1.5 <= 0. Returns
+    the root, ``hi`` when c(hi) >= kappa, and the evaluations of c made.
+    """
+    alpha = hi
+    for steps in range(1, _ROOT_STEPS + 1):
+        u = 1.0 / (theta - alpha)
+        s1, s2, s3 = w @ u, w @ u**2, w @ u**3
+        f = s1 / np.sqrt(s2) - kappa
+        # Stop before the bracket update: an exact root is never bisected away.
+        if ((steps == 1 and f >= 0) or abs(f) <= _C_RESOLUTION
+                or hi - lo <= _C_RESOLUTION * max(1.0, abs(alpha))):
+            break
+        if f > 0:
+            lo = alpha
+        else:
+            hi = alpha
+        slope = (s2 * s2 - s1 * s3) / s2**1.5
+        newton = alpha - f / slope if slope < 0 else hi
+        alpha = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return float(alpha), steps
+
+
+def lanczos_root(
+    g: SignedGraph, b: np.ndarray, kappa: float, lo: float, hi: float, tol: float
+) -> tuple[float, int]:
+    """``secular_root`` over the Ritz pairs (theta, |b|^2 z[0]^2) of the
+    tridiagonal T_k = Z diag(theta) Z' of Lanczos on Lnorm started at b,
+    without reorthogonalization or a stored basis. Stops at breakdown or
+    once the Ritz residual bound beta_k |e_k'(T_k - alpha)^{-1} e1| at the
+    current root, the relative residual CG reaches in the same Krylov
+    space, is at most ``tol``.
+    """
+    bnorm = float(np.linalg.norm(b))
+    q_prev, q = np.zeros_like(b), b / bnorm
+    diag, off = [], []
+    beta = 0.0
+    cap = 20 * g.node_count
+    for _ in range(cap):
+        v = normalized_laplacian_apply(g, q) - beta * q_prev
+        diag.append(float(q @ v))
+        v -= diag[-1] * q
+        beta = float(np.linalg.norm(v))
+        theta, z = eigh_tridiagonal(diag, off)
+        if theta[0] <= hi:
+            # Ritz values never fall below the smallest eigenvalue.
+            raise SolverError(
+                f"Ritz value {theta[0]:.6g} lies below the shift bracket end "
+                f"{hi:.6g}: the eigenvalue estimate is too high"
+            )
+        alpha, steps = secular_root(theta, bnorm**2 * z[0] ** 2, kappa, lo, hi)
+        resid = beta * abs(float(z[-1] @ (z[0] / (theta - alpha))))
+        if resid <= tol or beta <= _BREAKDOWN:
+            return alpha, steps
+        off.append(beta)
+        q_prev, q = q, v / beta
+    raise ConvergenceError(f"Lanczos hit the {cap}-step cap", resid)
 
 
 def solve_seeded(
@@ -261,13 +298,12 @@ def solve_seeded(
 
     When the bottom eigenvector already satisfies the correlation bound the
     constraint is inactive and the eigenvector is returned (its objective,
-    the smallest eigenvalue, is the unconstrained minimum). Otherwise the
-    correlation c(alpha) of the shifted solves is driven to ``kappa`` by
-    bisection on alpha in [alpha_lo(kappa), lambda1 - delta) (see the module
-    docstring), relying on c being non-increasing in alpha; monotonicity is
-    checked as the search proceeds and a violation is surfaced as a warning
-    on the solution. It fails only if ``eps`` is finer than floating point
-    resolves c.
+    the smallest eigenvalue, is the unconstrained minimum), and so is the
+    solve at lambda1 - delta when c stays above ``kappa`` up to there.
+    Otherwise one CG solve at the secular root (see the module docstring)
+    produces x, and a ``SolverError`` is raised unless its correlation lies
+    within ``eps`` of ``kappa``, which fails only for an ``eps`` finer than
+    floating point resolves c.
     """
     if not 0.0 <= kappa < 1.0:
         raise SolverError(f"kappa must lie in [0, 1), got {kappa}")
@@ -291,82 +327,45 @@ def solve_seeded(
             "the solution family may not contain the optimum"
         )
 
-    if kappa <= c_limit:
-        return SpectralSolution(
-            x=v1,
-            alpha=lam1,
-            correlation=c_limit,
-            kappa_target=kappa,
-            lambda1=lam1,
-            objective=lam1,
-            cg_iterations=0,
-            search_steps=0,
-            constraint_active=False,
-            warnings=tuple(warnings),
-        )
-
-    # The guard below lambda1 only needs to absorb the eigenvalue error of
-    # the estimate (which does not grow with graph size); a volume-scaled
-    # guard would truncate the usable shift range on large graphs.
-    delta = max(10.0 * eig_tol, 1e-12)
-    hi = lam1 - delta
-    lo = min(shift_lower_bound(kappa), hi)
-    total_cg = 0
-
-    # Invariants maintained below: c(lo) >= kappa, and c(hi) <= kappa
-    # whenever the hi end has been evaluated. c <= 1 by Cauchy-Schwarz.
-    c_lo = 1.0
-    c_hi_seen: float | None = None
-    raw_prev = None
-    steps = 0
-    for steps in range(1, _MAX_SEARCH_STEPS + 1):
-        mid = 0.5 * (lo + hi)
-        c_mid, x_mid, raw_prev, it = _correlation_raw(g, mid, ds, cg_tol, raw_prev)
-        total_cg += it
-        if c_mid > c_lo + 1e-6 or (c_hi_seen is not None and c_mid < c_hi_seen - 1e-6):
-            warnings.append(
-                f"correlation not monotone within tolerance at alpha={mid:.6g}"
-            )
-        if abs(c_mid - kappa) <= eps:
-            return SpectralSolution(
-                x=x_mid,
-                alpha=mid,
-                correlation=c_mid,
-                kappa_target=kappa,
-                lambda1=lam1,
-                objective=rayleigh_quotient(g, x_mid),
-                cg_iterations=total_cg,
-                search_steps=steps,
-                constraint_active=True,
-                warnings=tuple(warnings),
-            )
-        if c_mid > kappa:
-            lo, c_lo = mid, c_mid
+    active = kappa > c_limit
+    if not active:
+        x, alpha, c, objective, iters, steps = v1, lam1, c_limit, lam1, 0, 0
+    else:
+        # The guard below lambda1 absorbs the eigenvalue error of the estimate,
+        # which does not grow with graph size, so it is not volume-scaled.
+        hi = lam1 - max(10.0 * eig_tol, 1e-12)
+        lo = min(shift_lower_bound(kappa), hi)
+        b = np.sqrt(g.degrees) * s.values
+        if eig.spectrum is None:
+            alpha, steps = lanczos_root(g, b, kappa, lo, hi, cg_tol)
         else:
-            hi, c_hi_seen = mid, c_mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            if c_hi_seen is None:
-                # Correlation stays above kappa all the way to the guard
-                # band below lambda1: the constraint is inactive but the
-                # bottom eigenspace is degenerate, so the near-eigenvalue
-                # solve is the right representative.
-                warnings.append(
-                    "constraint inactive at a degenerate bottom eigenspace"
-                )
-                return SpectralSolution(
-                    x=x_mid,
-                    alpha=mid,
-                    correlation=c_mid,
-                    kappa_target=kappa,
-                    lambda1=lam1,
-                    objective=rayleigh_quotient(g, x_mid),
-                    cg_iterations=total_cg,
-                    search_steps=steps,
-                    constraint_active=False,
-                    warnings=tuple(warnings),
-                )
-            break
-    raise SolverError(
-        f"correlation {kappa} unreachable within eps={eps:.3g}: the search "
-        f"stalled at alpha={lo:.6g} after {steps} bisection steps"
+            theta, u = eig.spectrum
+            alpha, steps = secular_root(theta, (u.T @ b) ** 2, kappa, lo, hi)
+        raw, iters = solve_shifted(g, alpha, ds, tol=cg_tol)
+        raw_norm2 = float(raw @ (g.degrees * raw))
+        x = raw / np.sqrt(raw_norm2)
+        c = float(x @ ds)
+        # CG leaves its residual D s - (L - alpha D) raw orthogonal to raw.
+        objective = alpha + float(raw @ ds) / raw_norm2
+        active = alpha < hi
+        if not active:
+            # The bottom eigenspace is degenerate or misses the seeds, so
+            # the near-eigenvalue solve is the right representative.
+            warnings.append("constraint inactive at a degenerate bottom eigenspace")
+        elif abs(c - kappa) + _C_RESOLUTION > eps:
+            raise SolverError(
+                f"correlation {kappa} unreachable within eps={eps:.3g}: the "
+                f"certifying solve at alpha={alpha:.6g} reached {c!r}"
+            )
+    return SpectralSolution(
+        x=x,
+        alpha=alpha,
+        correlation=c,
+        kappa_target=kappa,
+        lambda1=lam1,
+        objective=objective,
+        cg_iterations=iters,
+        search_steps=steps,
+        constraint_active=active,
+        warnings=tuple(warnings),
     )

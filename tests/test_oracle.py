@@ -7,13 +7,15 @@ from signedpolar import (
     OracleError,
     beta,
     brute_force_cheeger,
+    correlation_at,
     kkt_check,
     seed_vector,
+    smallest_eigenpair,
     solve_seeded,
     verify_approximation,
     verify_relaxation,
 )
-from conftest import make_random_graph, scratch_beta
+from conftest import dense_normalized_laplacian, make_random_graph, scratch_beta
 
 
 def reference_cheeger(g, s1, s2, k):
@@ -155,3 +157,39 @@ class TestKktCheck:
         sol = solve_seeded(t3, s, kappa=0.9)
         rep = kkt_check(t3, 1.1 * sol.x, s, sol.alpha, kappa=0.9)
         assert rep.primal_norm_residual == pytest.approx(0.21, abs=1e-6)
+
+
+class TestCorrelationAt:
+    def test_single_edge_recovers_seed(self, single_edge):
+        s = seed_vector(single_edge, {0}, {1})
+        c, x, _ = correlation_at(single_edge, -1.0, s)
+        assert c == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(x, s.values, rtol=1e-10)
+
+    def test_very_negative_alpha_approaches_seed(self, t3):
+        s = seed_vector(t3, {0}, {2})
+        c, _, _ = correlation_at(t3, -1000 * t3.total_volume, s)
+        assert c >= 0.99
+
+    def test_near_lambda1_approaches_eigenspace_projection(self, t3):
+        # T3's bottom eigenvalue has multiplicity 2; the correlation limit is
+        # the D-norm of the seed's projection onto that eigenspace, computed
+        # here with a dense eigendecomposition.
+        s = seed_vector(t3, {0}, {2})
+        lnorm = dense_normalized_laplacian(t3)
+        vals, vecs = np.linalg.eigh(lnorm)
+        eigenspace = vecs[:, np.isclose(vals, vals[0])]
+        rootd = np.sqrt(t3.degrees)
+        y_seed = rootd * s.values
+        proj = float(np.linalg.norm(eigenspace.T @ y_seed))
+        c, _, _ = correlation_at(t3, 0.5 - 1e-6, s, tol=1e-12)
+        assert c == pytest.approx(proj, abs=1e-3)
+
+    def test_monotone_nonincreasing_in_alpha(self):
+        for seed in range(5):
+            g = make_random_graph(15, 40, seed=seed)
+            s = seed_vector(g, {0, 1}, {2})
+            lam1 = smallest_eigenpair(g).lambda1
+            alphas = np.linspace(-g.total_volume, lam1 - 1e-6, 25)
+            cs = [correlation_at(g, a, s, tol=1e-10)[0] for a in alphas]
+            assert all(cs[i] >= cs[i + 1] - 1e-8 for i in range(len(cs) - 1))

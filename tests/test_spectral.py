@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +13,11 @@ from signedpolar import (
     ConvergenceError,
     GraphError,
     SolverError,
+    bisect_shift,
     build_graph,
     correlation_at,
+    fast_sweep,
+    generate,
     grid_search_minimum,
     laplacian_apply,
     rayleigh_quotient,
@@ -17,8 +26,10 @@ from signedpolar import (
     solve_seeded,
     solve_shifted,
 )
+from signedpolar import spectral
 from signedpolar.graph import SeedVector
 from signedpolar.spectral import DEFAULT_EIG_TOL, shift_lower_bound
+from signedpolar.synth import SynthParams
 from conftest import dense_normalized_laplacian, make_random_graph
 
 
@@ -132,42 +143,6 @@ class TestSolveShifted:
         assert exc.value.residual > 0
 
 
-class TestCorrelationAt:
-    def test_single_edge_recovers_seed(self, single_edge):
-        s = seed_vector(single_edge, {0}, {1})
-        c, x, _ = correlation_at(single_edge, -1.0, s)
-        assert c == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(x, s.values, rtol=1e-10)
-
-    def test_very_negative_alpha_approaches_seed(self, t3):
-        s = seed_vector(t3, {0}, {2})
-        c, _, _ = correlation_at(t3, -1000 * t3.total_volume, s)
-        assert c >= 0.99
-
-    def test_near_lambda1_approaches_eigenspace_projection(self, t3):
-        # T3's bottom eigenvalue has multiplicity 2; the correlation limit is
-        # the D-norm of the seed's projection onto that eigenspace, computed
-        # here with a dense eigendecomposition.
-        s = seed_vector(t3, {0}, {2})
-        lnorm = dense_normalized_laplacian(t3)
-        vals, vecs = np.linalg.eigh(lnorm)
-        eigenspace = vecs[:, np.isclose(vals, vals[0])]
-        rootd = np.sqrt(t3.degrees)
-        y_seed = rootd * s.values
-        proj = float(np.linalg.norm(eigenspace.T @ y_seed))
-        c, _, _ = correlation_at(t3, 0.5 - 1e-6, s, tol=1e-12)
-        assert c == pytest.approx(proj, abs=1e-3)
-
-    def test_monotone_nonincreasing_in_alpha(self):
-        for seed in range(5):
-            g = make_random_graph(15, 40, seed=seed)
-            s = seed_vector(g, {0, 1}, {2})
-            lam1 = smallest_eigenpair(g).lambda1
-            alphas = np.linspace(-g.total_volume, lam1 - 1e-6, 25)
-            cs = [correlation_at(g, a, s, tol=1e-10)[0] for a in alphas]
-            assert all(cs[i] >= cs[i + 1] - 1e-8 for i in range(len(cs) - 1))
-
-
 class TestSolveSeeded:
     def test_kappa_zero_returns_eigenvector(self, t3):
         s = seed_vector(t3, {0}, {2})
@@ -218,6 +193,14 @@ class TestSolveSeeded:
         with pytest.raises(SolverError, match="unreachable"):
             solve_seeded(t3, s, kappa=0.9, eps=1e-18)
 
+    def test_exact_landing_does_not_certify_below_float_resolution(self, t3):
+        # The certifying solve often lands on kappa bit for bit on T3, but c
+        # carries a few ulps of rounding, so eps = 1e-18 is never certified.
+        s = seed_vector(t3, {0}, {2})
+        for kappa in np.linspace(0.75, 0.99, 25):
+            with pytest.raises(SolverError, match="unreachable"):
+                solve_seeded(t3, s, kappa=float(kappa), eps=1e-18)
+
     def test_feasibility_and_normalization_random(self):
         for seed in range(8):
             g = make_random_graph(25, 60, seed=seed, weighted=seed % 2 == 1)
@@ -235,6 +218,27 @@ class TestSolveSeeded:
         sol = solve_seeded(balanced_path, s, kappa=0.0)
         assert sol.lambda1 <= 1e-10
         assert sol.objective <= 1e-10
+
+
+def solve_on(g, s, kappa, source=None, **kwargs):
+    """``solve_seeded`` on the spectral source its graph size selects, or on
+    Lanczos when ``source`` is "lanczos"; returns the solution and the CG
+    iterations of each ``spectral.solve_shifted`` call it made."""
+    calls = []
+    solve, eig = spectral.solve_shifted, spectral.smallest_eigenpair
+
+    def counting(*args, **kw):
+        out = solve(*args, **kw)
+        calls.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "solve_shifted", counting)
+        if source == "lanczos":
+            mp.setattr(spectral, "smallest_eigenpair",
+                       lambda g, tol: replace(eig(g, tol), spectrum=None))
+        sol = solve_seeded(g, s, kappa=kappa, **kwargs)
+    return sol, calls
 
 
 NEARLY_ORTHOGONAL = "nearly D-orthogonal"
@@ -263,11 +267,16 @@ class TestSolverWarnings:
         s = seed_vector(positive_cycle, {0}, {2})
         lam1 = smallest_eigenpair(positive_cycle).lambda1
         assert shift_lower_bound(1e-4) > lam1 - 10 * DEFAULT_EIG_TOL
-        sol = solve_seeded(positive_cycle, s, kappa=1e-4)
+        sol, calls = solve_on(positive_cycle, s, 1e-4)
         assert not sol.constraint_active
-        assert sol.search_steps == 1
+        assert len(calls) == 1
         assert sol.correlation == pytest.approx(1.0, abs=1e-9)
         assert any(DEGENERATE in w for w in sol.warnings)
+
+    def test_degenerate_exit_takes_one_solve(self, positive_cycle):
+        sol, calls = solve_on(positive_cycle, seed_vector(positive_cycle, {0}, {2}), 0.5)
+        assert not sol.constraint_active
+        assert calls == [sol.cg_iterations] == [1]
 
     def test_balanced_signed_cycle(self):
         g = build_graph([("a", "b", 1.0), ("b", "c", -1.0),
@@ -326,3 +335,107 @@ class TestShiftLowerBound:
         # lies inside the guard band below lambda1 and the bracket starts there
         sol = solve_seeded(g, s, kappa=kappa)
         assert sol.alpha >= min(alpha_lo, sol.lambda1 - 10 * DEFAULT_EIG_TOL)
+
+
+SOURCES = ("dense", "lanczos")
+
+
+def _assert_matches_dense(g, s, kappa, sol, calls, eps):
+    """The solution is the dense solve of (Lnorm - alpha I) y = D^{1/2} s at
+    the returned alpha, made by exactly one certifying CG solve."""
+    if sol.search_steps == 0:  # the bottom eigenvector meets kappa
+        assert not sol.constraint_active and calls == []
+        assert sol.correlation >= kappa
+        return
+    assert calls == [sol.cg_iterations]
+    rootd = np.sqrt(g.degrees)
+    lnorm = dense_normalized_laplacian(g)
+    y = np.linalg.solve(lnorm - sol.alpha * np.eye(g.node_count), rootd * s.values)
+    np.testing.assert_allclose(sol.x, y / rootd / np.linalg.norm(y), rtol=1e-8, atol=1e-8)
+    assert sol.alpha < sol.lambda1
+    if sol.constraint_active:
+        assert abs(sol.correlation - kappa) <= eps
+    else:
+        assert sol.correlation >= kappa - eps
+        assert any(DEGENERATE in w for w in sol.warnings)
+
+
+class TestSecularSources:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 60),
+        extra=st.integers(0, 120),
+        graph_seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+        neg_fraction=st.sampled_from([0.0, 0.2, 0.5]),
+        two_sided=st.booleans(),
+        kappa=st.floats(0.0, 0.999999, exclude_min=True),
+    )
+    def test_both_sources_match_dense_solve(
+        self, n, extra, graph_seed, weighted, neg_fraction, two_sided, kappa
+    ):
+        g = make_random_graph(n, extra, seed=graph_seed, weighted=weighted,
+                              neg_fraction=neg_fraction)
+        rng = np.random.default_rng(graph_seed)
+        nodes = rng.permutation(g.node_count)
+        k1 = int(rng.integers(1, g.node_count // 2 + 1))
+        k2 = int(rng.integers(1, g.node_count // 2 + 1)) if two_sided else 0
+        s = seed_vector(g, set(nodes[:k1].tolist()), set(nodes[k1:k1 + k2].tolist()))
+        alphas = []
+        for source in SOURCES:
+            sol, calls = solve_on(g, s, kappa, source, eps=1e-6, cg_tol=1e-11)
+            _assert_matches_dense(g, s, kappa, sol, calls, eps=1e-6)
+            alphas.append(sol.alpha)
+        assert alphas[1] == pytest.approx(alphas[0], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("edges, s1, s2, kappa", [
+        # degenerate: e_a - e_c spans an eigenspace of the positive 4-cycle
+        ([("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", 1)], {0}, {2}, 0.5),
+        ([("a", "b", 1), ("b", "c", -1), ("c", "d", 1), ("d", "a", -1)], {0}, {1}, 0.5),
+        ([("a", "b", 1)], {0}, {1}, 0.7),
+        # inactive: the bottom eigenvector of T3 meets kappa = 0
+        ([("a", "b", 1), ("a", "c", 1), ("b", "c", -1)], {0}, {2}, 0.0),
+    ])
+    def test_degenerate_and_inactive_cases(self, source, edges, s1, s2, kappa):
+        g = build_graph(edges)
+        s = seed_vector(g, s1, s2)
+        sol, calls = solve_on(g, s, kappa, source)
+        assert not sol.constraint_active
+        _assert_matches_dense(g, s, kappa, sol, calls, eps=1e-3)
+
+    def test_ritz_value_below_bracket_raises(self, t3):
+        # An eigenvalue estimate above the true lambda1 = 0.5 puts Ritz values
+        # below the shift bracket.
+        eig = smallest_eigenpair(t3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "smallest_eigenpair",
+                       lambda g, tol: replace(eig, lambda1=0.9, spectrum=None))
+            with pytest.raises(SolverError, match="Ritz value"):
+                solve_seeded(t3, seed_vector(t3, {0}, {2}), kappa=0.9)
+
+    def test_lanczos_matches_reference_bisection(self):
+        g, truth = generate(SynthParams(pairs=16, band_size=20, eta=0.01, rng_seed=3))
+        assert g.node_count > spectral.DENSE_EIG_LIMIT
+        band1, band2 = truth.pairs[0]
+        s = seed_vector(g, {g.index_of(min(band1))}, {g.index_of(min(band2))})
+        for kappa in (0.2, 0.5, 0.9):
+            sol, calls = solve_on(g, s, kappa)
+            assert calls == [sol.cg_iterations]
+            eps = 1e-3
+            alpha_ref, c_ref, x_ref = bisect_shift(g, s, kappa, eps=eps)
+            # the root lies on the side of the bisection's shift that c says
+            assert (sol.alpha - alpha_ref) * (c_ref - kappa) >= 0
+            # and inside the eps window of the reference correlation
+            assert abs(correlation_at(g, sol.alpha, s)[0] - kappa) <= eps
+            ours, ref = fast_sweep(g, sol.x), fast_sweep(g, x_ref)
+            assert (ours.c1, ours.c2) == (ref.c1, ref.c2)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs about 0.3 s per fresh interpreter; the secular root
+    # needs none of it.
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, signedpolar; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
