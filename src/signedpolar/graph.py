@@ -32,9 +32,12 @@ class SignedGraph:
     """Immutable sparse undirected signed graph with cached degrees.
 
     Nodes are dense indices ``0..n-1``; ``labels[i]`` maps an index back to
-    its external label. Duplicate undirected input pairs are merged by
-    summing weights at build time, so ``edge_u/edge_v/edge_w`` hold each
-    surviving pair exactly once with ``edge_u < edge_v``.
+    its external label. The constructor takes each undirected pair exactly
+    once with ``edge_u < edge_v`` (:func:`build_graph` merges duplicate
+    input pairs by summing weights to get there) and raises
+    :class:`GraphError` otherwise. ``adjacency`` is the symmetric CSR
+    matrix with int32 indices (int64 past their range), columns sorted in
+    each row; it is laid out directly from the pairs, without a COO stage.
 
     Instances are never mutated after construction and are safe to share
     across threads.
@@ -63,15 +66,17 @@ class SignedGraph:
         self.edge_v = np.asarray(edge_v, dtype=np.int64)
         self.edge_w = np.asarray(edge_w, dtype=np.float64)
         n = self.node_count
-        row = np.concatenate([self.edge_u, self.edge_v])
-        col = np.concatenate([self.edge_v, self.edge_u])
-        dat = np.concatenate([self.edge_w, self.edge_w])
-        self.adjacency = sp.csr_matrix((dat, (row, col)), shape=(n, n))
-        # bincount adds in index order, all edge_u terms before the edge_v ones
+        self.adjacency = sp.csr_matrix(
+            _sorted_csr(self.edge_u, self.edge_v, self.edge_w, n), shape=(n, n)
+        )
+        # bincount adds in index order and add.at goes on from there: all
+        # edge_u terms before the edge_v ones
         absw = np.abs(self.edge_w)
-        self.degrees = np.bincount(row, np.concatenate([absw, absw]), minlength=n)
+        self.degrees = np.bincount(self.edge_u, absw, minlength=n)
+        np.add.at(self.degrees, self.edge_v, absw)
         posw = np.where(self.edge_w > 0, self.edge_w, 0.0)
-        self.pos_degrees = np.bincount(row, np.concatenate([posw, posw]), minlength=n)
+        self.pos_degrees = np.bincount(self.edge_u, posw, minlength=n)
+        np.add.at(self.pos_degrees, self.edge_v, posw)
         self.neg_degrees = self.degrees - self.pos_degrees
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
@@ -94,9 +99,92 @@ class SignedGraph:
             if self.node_count == 0:
                 self._cache["connected"] = False
             else:
-                ncomp, _ = connected_components(self.adjacency, directed=False)
-                self._cache["connected"] = ncomp == 1
+                self._cache["connected"] = _components(self)[0] == 1
         return self._cache["connected"]
+
+
+def _sorted_csr(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of the symmetric matrix with entries
+    ``(u, v, w)`` and ``(v, u, w)``, columns sorted within each row.
+
+    Since ``u < v``, row ``r`` holds its lower entries (edges with
+    ``v == r``, columns ``u``) before its upper ones (``u == r``, columns
+    ``v``). Stable sorts put the edges in ``(v, u)`` and then in ``(u, v)``
+    order; in those orders each row's lower, resp. upper, entries are
+    consecutive and in column order, so each entry's slot is its rank plus
+    a per-row offset. Random gathers cost as much as a sort here, so each
+    column is gathered as few times as the two orders need.
+    """
+    m = len(w)
+    if (n - 1).bit_length() + (m - 1).bit_length() > 64:
+        raise GraphError("graph too large to index")
+    idx = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
+    upper = np.bincount(u, minlength=n)
+    lower = np.bincount(v, minlength=n)
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(upper + lower, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=idx)
+    data = np.empty(2 * m)
+
+    su, by_u = _stable_sort(u.copy())
+    sv, at = _stable_sort(v[by_u])
+    by_vu = by_u[at]
+    del by_u
+    su = su[at]
+    del at
+    sw = w[by_vu]
+    del by_vu
+    # lower entry of the j-th edge in (v, u) order: slot j + (upper entries
+    # of the rows before v)
+    _place(indices, data, np.cumsum(upper) - upper, sv, su, sw)
+    su, at = _stable_sort(su)
+    sv = sv[at]
+    sw = sw[at]
+    del at
+    if not (((su[1:] != su[:-1]) | (sv[1:] > sv[:-1])).all() and (su < sv).all()):
+        raise GraphError("edge pairs must be distinct with edge_u < edge_v")
+    # upper entry of the j-th edge in (u, v) order: slot j + (lower entries
+    # of the rows up to u)
+    _place(indices, data, np.cumsum(lower), su, sv, sw)
+    return data, indices, indptr
+
+
+def _place(indices, data, offset, row, col, w) -> None:
+    """Write the j-th entry ``(row, col, w)`` to slot ``j + offset[row[j]]``."""
+    slot = offset[row]
+    slot += np.arange(len(row))
+    indices[slot] = col
+    data[slot] = w
+
+
+def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the int64 ``key`` in place, stably; returns it and the
+    permutation that sorts it.
+
+    Keys lie in ``[0, 2**(64 - bits))``, ``bits`` the width of an index
+    into ``key``. One ``np.sort`` of uint64 words, each a key above its
+    position, is several times faster than a stable argsort, and the keys
+    come out of the words without a gather.
+    """
+    bits = np.uint64(max(1, (len(key) - 1).bit_length()))
+    packed = key.view(np.uint64)
+    packed <<= bits
+    packed |= np.arange(len(key), dtype=np.uint64)
+    packed.sort()
+    pos = (packed & ((np.uint64(1) << bits) - np.uint64(1))).view(np.int64)
+    packed >>= bits
+    return key, pos
+
+
+def _components(g: SignedGraph) -> tuple[int, np.ndarray]:
+    """Number of connected components and each node's component.
+
+    The adjacency is symmetric, so its strong components are the connected
+    components, and the directed search needs no transposed copy of it.
+    """
+    return connected_components(g.adjacency, directed=True, connection="strong")
 
 
 def _node_indices(g: SignedGraph, nodes: Iterable[int]) -> np.ndarray:
@@ -217,8 +305,11 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     """
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
-    # The merge's temporaries are freed before the graph's arrays are built.
-    return SignedGraph(*_merge_edges(edges))
+    # The merge's temporaries, and the edge list unless the caller keeps it,
+    # are freed before the graph's arrays are built.
+    merged = _merge_edges(edges)
+    del edges
+    return SignedGraph(*merged)
 
 
 def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -243,11 +334,12 @@ def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndar
         raise GraphError(f"edge ({a!r}, {b!r}) has invalid weight {float(w[i])}")
 
     # Renumber the used labels by first appearance in u0, v0, u1, v1, ...
-    ends = np.empty(2 * m, dtype=np.int64)
-    ends[0::2] = u
-    ends[1::2] = v
     first = np.full(nlab, 2 * m)
-    np.minimum.at(first, ends, np.arange(2 * m))
+    pos = np.arange(0, 2 * m, 2)
+    np.minimum.at(first, u, pos)
+    pos += 1
+    np.minimum.at(first, v, pos)
+    del pos
     used = np.flatnonzero(first < 2 * m)
     old_ids = used[np.argsort(first[used])]
     new_id = np.empty(nlab, dtype=np.int64)
@@ -256,23 +348,32 @@ def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndar
     labels = [edges.labels[i] for i in old_ids.tolist()]
     if len(set(labels)) < n:
         raise GraphError("edge list labels are not distinct")
+
+    # One key lo * n + hi per row; it is all that is kept of u and v.
     u = new_id[u]
     v = new_id[v]
-
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = lo * n + hi
+    key = np.minimum(u, v).view(np.uint64)
+    key *= np.uint64(n)
+    np.maximum(u, v, out=u)
+    key += u.view(np.uint64)
+    del u, v
     order, skey = group_order(key)
     start = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
-    size = np.diff(np.append(start, m))
+    del skey
+    total = _sum_runs(w[order], start)
     # Each pair's sum sits on its first row, so the rows that hold a nonzero
     # sum, in increasing order, are the surviving pairs in first-appearance order.
     merged = np.zeros(m)
-    merged[order[start]] = _sum_runs(w[order], start, size)
+    merged[order[start]] = total
+    del order, start, total
     rows = np.flatnonzero(merged)
     if not rows.size:
         raise GraphError("all edges cancelled during merging")
-    return labels, lo[rows], hi[rows], merged[rows]
+    hi = key[rows].view(np.int64)
+    del key
+    lo = hi // n
+    hi -= lo * n
+    return labels, lo, hi, merged[rows]
 
 
 def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,17 +393,19 @@ def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed |= np.arange(len(key), dtype=np.uint64)
     packed.sort()
     order = (packed & low).view(np.int64)
+    packed >>= bits
+    same_hash = packed[1:] == packed[:-1]
+    del packed
     skey = key[order]
-    same_hash = (packed[1:] ^ packed[:-1]) <= low
     if (same_hash & (skey[1:] != skey[:-1])).any():
         order = np.argsort(key, kind="stable")
         skey = key[order]
     return order, skey
 
 
-def _sum_runs(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Sum each run ``x[start[i] : start[i] + size[i]]`` left to right, the
-    way a running ``+=`` does.
+def _sum_runs(x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Sum each run ``x[start[i] : start[i + 1]]`` (the last one up to the
+    end of ``x``) left to right, the way a running ``+=`` does.
 
     ``np.add.reduceat`` is not used: it adds a run's tail pairwise, so a run
     of three or more terms can differ from the running sum in the last bit.
@@ -312,13 +415,16 @@ def _sum_runs(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
     adds left to right.
     """
     total = x[start]
+    size = np.diff(start, append=len(x))
     run = np.flatnonzero(size > 1)
+    size = size[run]
     k = 1
     while run.size >= _FEW_RUNS:
         total[run] += x[start[run] + k]
         k += 1
-        run = run[size[run] > k]
-    for i, a, n in zip(run.tolist(), start[run].tolist(), size[run].tolist()):
+        open_ = size > k
+        run, size = run[open_], size[open_]
+    for i, a, n in zip(run.tolist(), start[run].tolist(), size.tolist()):
         total[i] = np.add.accumulate(x[a : a + n])[-1]
     return total
 
@@ -336,34 +442,38 @@ def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
 
 
 def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
-    """Classify every edge incident to ``c1 | c2`` in one pass.
+    """Classify every edge incident to ``c1 | c2`` in one pass over the
+    adjacency rows of the union, so the cost is the union's volume.
 
     Each incident edge lands in exactly one field, so the seven fields sum to
-    the total absolute weight incident to the union.
+    the total absolute weight incident to the union. An edge inside the
+    union is seen from both of its rows and counted at half weight each
+    time; a boundary edge is seen once.
     """
     side = _membership(g, c1, c2)
-    su = side[g.edge_u]
-    sv = side[g.edge_v]
-    w = g.edge_w
-    aw = np.abs(w)
-    pos = w > 0
-    prod = su.astype(np.int16) * sv
-    inside_u = su != 0
-    inside_v = sv != 0
-
-    across = prod == -1
-    same1 = (su == 1) & (sv == 1)
-    same2 = (su == -1) & (sv == -1)
-    bound = inside_u != inside_v
-
+    rows = np.flatnonzero(side)
+    adj = g.adjacency
+    begin = adj.indptr[rows].astype(np.int64)
+    size = adj.indptr[rows + 1] - begin
+    # entry positions of the rows, row after row
+    at = np.repeat(begin - (np.cumsum(size) - size), size)
+    at += np.arange(len(at))
+    w = adj.data[at]
+    # class = [row side is -1][column side + 1][weight > 0]
+    cls = np.repeat(np.int8(6) * (side[rows] < 0), size)
+    cls += 2 * (side[adj.indices[at]] + 1)
+    cls += w > 0
+    # a class holds weights of one sign, so |sum| is the sum of |w|
+    c = np.abs(np.bincount(cls, w, minlength=12), dtype=np.float64).reshape(2, 3, 2)
+    c[:, (0, 2)] *= 0.5
     return EdgeCounts(
-        pos_across=float(w[pos & across].sum()),
-        neg_in_1=float(aw[~pos & same1].sum()),
-        neg_in_2=float(aw[~pos & same2].sum()),
-        boundary=float(aw[bound].sum()),
-        pos_in_1=float(w[pos & same1].sum()),
-        pos_in_2=float(w[pos & same2].sum()),
-        neg_across=float(aw[~pos & across].sum()),
+        pos_across=float(c[0, 0, 1] + c[1, 2, 1]),
+        neg_in_1=float(c[0, 2, 0]),
+        neg_in_2=float(c[1, 0, 0]),
+        boundary=float(c[:, 1].sum()),
+        pos_in_1=float(c[0, 2, 1]),
+        pos_in_2=float(c[1, 0, 1]),
+        neg_across=float(c[0, 0, 0] + c[1, 2, 0]),
     )
 
 
@@ -445,19 +555,19 @@ def indicator_vector(g: SignedGraph, c1, c2) -> np.ndarray:
 def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:
     """Restrict ``g`` to its largest connected component.
 
-    Components are compared by volume (tie broken toward the component
-    containing the smallest node index). Returns the subgraph together with
+    Components are compared by volume; among equal volumes the component
+    holding the smallest node index wins. Returns the subgraph together with
     the dropped node and edge counts; a connected graph is returned as-is.
     The returned graph remembers that it is connected, so
     :meth:`SignedGraph.is_connected` need not search it again.
     """
-    ncomp, comp = connected_components(g.adjacency, directed=False)
+    ncomp, comp = _components(g)
     if ncomp <= 1:
         if ncomp == 1:
             g._cache["connected"] = True
         return g, 0, 0
     vols = np.bincount(comp, g.degrees, minlength=ncomp)
-    best = int(np.argmax(vols))
+    best = comp[np.argmax(vols[comp] == vols.max())]
     keep_mask = comp == best
     keep_edges = keep_mask[g.edge_u]
     labels = [g.labels[i] for i in np.flatnonzero(keep_mask).tolist()]

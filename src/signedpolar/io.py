@@ -1,7 +1,9 @@
 """Edge-list and ground-truth file handling.
 
-A graph file is UTF-8 text. It is read whole and split into columns with
-numpy, without a per-line Python loop. Its grammar:
+A graph file is UTF-8 text. It is read in blocks of whole lines, about
+4 MiB each, and each block is split into columns with numpy, without a
+per-line Python loop; labels are numbered once the last block is read. The
+grammar does not depend on where blocks end:
 
 * Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; the last line may lack
   an ending. Error messages number lines from 1.
@@ -16,8 +18,8 @@ numpy, without a per-line Python loop. Its grammar:
 
 Bytes that are not UTF-8, a line with another token count, a weight that is
 not a number, and a file without edges raise :class:`IngestError` naming the
-line. Zero or non-finite weights and self-loops are rejected when the graph
-is built.
+line; an error in an earlier block is reported first. Zero or non-finite
+weights and self-loops are rejected when the graph is built.
 
 Ground truth is JSON of the form
 ``{"pairs": [[[labels...], [labels...]], ...], "outliers": [...]}``.
@@ -54,6 +56,12 @@ _UNICODE_SPACES = tuple(
 ) + tuple(chr(c).encode() for c in range(0x2000, 0x200B))
 
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(8)], dtype=np.uint64)
+# Token keys: a token shorter than 8 bytes is its bytes with its length in
+# the top byte; a longer one is its serial number in a dict plus this.
+_LONG_TOKEN = 0xFF << 56
+# The file is read this many bytes at a time; a block ends after its last
+# line break, so only a block's worth of offsets and masks exists at once.
+_BLOCK_BYTES = 1 << 22
 
 
 class IngestError(ValueError):
@@ -64,14 +72,64 @@ def read_edge_list(path) -> EdgeList:
     """Parse a ``u v w`` edge file (grammar in the module docstring).
 
     Labels are numbered in order of first appearance, ``u`` before ``v``.
+    The file is parsed a block of lines at a time; each block leaves only a
+    key per label and a weight per row, and the keys are numbered once at
+    the end.
     """
-    raw = Path(path).read_bytes()
+    keys: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    long_labels: dict[bytes, int] = {}
+    lines = 0
+    with open(path, "rb") as fh:
+        for raw in _blocks(fh):
+            k, w, lines = _read_block(path, raw, lines, long_labels)
+            keys.append(k)
+            weights.append(w)
+    if not sum(map(len, weights)):
+        raise IngestError(f"{path}: no edges found")
+    w = np.concatenate(weights)
+    del weights
+    key = np.concatenate(keys)
+    del keys
+    ids, _, distinct = _intern(key)  # ids reuses key's memory
+    del key
+    tokens = list(long_labels)
+    labels = [
+        (tokens[k - _LONG_TOKEN] if k >= _LONG_TOKEN else k.to_bytes(8, "little")[: k >> 56])
+        .decode()
+        for k in distinct.tolist()
+    ]
+    return EdgeList(labels, ids[0::2], ids[1::2], w)
+
+
+def _blocks(fh):
+    """The file's bytes in blocks of about ``_BLOCK_BYTES``, each ending
+    after a line break except the last."""
+    rest = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        block = rest + chunk
+        # a \r at the very end may be the first half of \r\n
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        rest = block[cut:]
+        if cut:
+            yield block[:cut]
+    if rest:
+        yield rest
+
+
+def _read_block(
+    path, raw: bytes, line0: int, long_labels: dict[bytes, int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse one block of whole lines, the first of them line ``line0 + 1``
+    of the file. Returns the label keys ``u0, v0, u1, v1, ...`` (long labels
+    numbered in ``long_labels``), the weights, and the lines read so far.
+    """
     data = raw
     if not raw.isascii():
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            lineno = _line_number(raw, exc.start)
+            lineno = line0 + _line_number(raw, exc.start)
             raise IngestError(
                 f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not valid UTF-8"
             ) from None
@@ -91,26 +149,18 @@ def read_edge_list(path) -> EdgeList:
     w, bad_row = _parse_weights(data, words, rows[:, 4], rows[:, 5] - rows[:, 4])
     if bad_row >= 0:
         token = raw[rows[bad_row, 4] : rows[bad_row, 5]].decode()
-        lineno = np.searchsorted(np.cumsum(per_line), 3 * bad_row, side="right") + 1
-        raise IngestError(f"{path}:{lineno}: weight {token!r} is not a number")
+        line = np.searchsorted(np.cumsum(per_line), 3 * bad_row, side="right")
+        raise IngestError(f"{path}:{line0 + line + 1}: weight {token!r} is not a number")
     if bad_lines.size:
         line = int(bad_lines[0])
         lo = breaks[line - 1] + 1 if line else 0
         hi = breaks[line] if line < len(breaks) else len(raw)
         text = raw[lo:hi].decode().strip()
-        raise IngestError(f"{path}:{line + 1}: expected 'u v w', got {text!r}")
-    if not len(w):
-        raise IngestError(f"{path}: no edges found")
+        raise IngestError(f"{path}:{line0 + line + 1}: expected 'u v w', got {text!r}")
 
-    lab_starts = rows[:, [0, 2]].ravel()  # u0, v0, u1, v1, ...
-    lab_lengths = rows[:, [1, 3]].ravel() - lab_starts
-    del bounds, rows  # the largest arrays so far; free them before interning
-    ids, first = _intern(data, words, lab_starts, lab_lengths)
-    labels = [
-        raw[a : a + n].decode()
-        for a, n in zip(lab_starts[first].tolist(), lab_lengths[first].tolist())
-    ]
-    return EdgeList(labels, ids[0::2], ids[1::2], w)
+    starts = rows[:, [0, 2]].ravel()  # u0, v0, u1, v1, ...
+    keys = _token_keys(data, words, starts, rows[:, [1, 3]].ravel() - starts, long_labels)
+    return keys, w, line0 + len(breaks)
 
 
 def _split(buf: np.ndarray, has_comments: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,7 +219,7 @@ def _parse_weights(
     Weight columns repeat few distinct tokens (often just ``1`` and ``-1``),
     so each distinct token is converted once.
     """
-    ids, first = _intern(data, words, starts, lengths)
+    ids, first, _ = _intern(_token_keys(data, words, starts, lengths, {}))
     values = np.empty(len(first))
     for k, (a, n) in enumerate(zip(starts[first].tolist(), lengths[first].tolist())):
         try:
@@ -186,49 +236,50 @@ def _byte_words(data: bytes) -> np.ndarray:
     return as_strided(padded, shape=(len(data),), strides=(1,))
 
 
-def _intern(
-    data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Number the tokens so that equal tokens share a number, in order of
-    first appearance. Returns each token's number and, per number, the
-    index of its first token.
+def _token_keys(
+    data: bytes,
+    words: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    long_tokens: dict[bytes, int],
+) -> np.ndarray:
+    """One uint64 per token, equal exactly for equal tokens: the bytes and
+    length of a token shorter than 8 bytes, else ``_LONG_TOKEN`` plus the
+    token's number in ``long_tokens``, which numbers new tokens as it meets
+    them."""
+    key = words[starts] & _LOW_BYTES[np.minimum(lengths, 7)]
+    key |= lengths.astype(np.uint64) << np.uint64(56)
+    long = np.flatnonzero(lengths >= 8)
+    if long.size:
+        tokens = (data[a : a + n] for a, n in zip(starts[long].tolist(), lengths[long].tolist()))
+        key[long] = np.uint64(_LONG_TOKEN) | np.fromiter(
+            (long_tokens.setdefault(t, len(long_tokens)) for t in tokens),
+            dtype=np.uint64,
+            count=long.size,
+        )
+    return key
 
-    Tokens shorter than 8 bytes are packed into one uint64 key each (their
-    bytes plus their length) and grouped by one :func:`group_order`. Longer
-    tokens go through a dict.
+
+def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the keys so that equal keys share a number, in order of first
+    appearance. Returns each key's number, written over ``key``'s memory,
+    and per number the index of its first key and the key.
+
+    Keys are grouped by one :func:`group_order`.
     """
-    if not len(starts):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if int(lengths.max()) >= 8:
-        return _intern_dict(data, starts, lengths)
-    key = _word(words, starts, lengths) | (lengths.astype(np.uint64) << np.uint64(56))
+    if not len(key):
+        return key.view(np.int64), np.empty(0, dtype=np.int64), key
     order, skey = group_order(key)
     heads = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
-    first = order[heads]  # each run is in token order
+    distinct = skey[heads]
+    del skey
+    first = order[heads]  # each run is in index order
     by_first = np.argsort(first)
     rank = np.empty(len(heads), dtype=np.int64)
     rank[by_first] = np.arange(len(heads))
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.repeat(rank, np.diff(np.append(heads, len(order))))
-    return ids, first[by_first]
-
-
-def _word(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The bytes of each token, shorter than 8, as a little-endian uint64."""
-    return words[starts] & _LOW_BYTES[lengths]
-
-
-def _intern_dict(
-    data: bytes, starts: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_intern` through a dict of token bytes."""
-    index: dict[bytes, int] = {}
-    tokens = (data[a : a + n] for a, n in zip(starts.tolist(), lengths.tolist()))
-    ids = np.fromiter(
-        (index.setdefault(t, len(index)) for t in tokens), dtype=np.int64, count=len(starts)
-    )
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1) > 0)
-    return ids, first
+    ids = key.view(np.int64)
+    ids[order] = np.repeat(rank, np.diff(heads, append=len(order)))
+    return ids, first[by_first], distinct[by_first]
 
 
 def write_edge_list(path, g: SignedGraph) -> None:
@@ -245,11 +296,10 @@ def ingest(path, directed: bool = False) -> SignedGraph:
     listed in both directions averages and an antisymmetric pair cancels
     away. Dropped node/edge counts are logged.
     """
-    edges = read_edge_list(path)
-    if directed:
-        edges = replace(edges, w=0.5 * edges.w)
     try:
-        g = build_graph(edges)
+        # No name here holds the edge list, so build_graph frees it before
+        # it builds the graph's arrays.
+        g = build_graph(_read_symmetrized(path, directed))
     except GraphError as exc:
         raise IngestError(f"{path}: {exc}") from exc
     g, dropped_nodes, dropped_edges = largest_component(g)
@@ -261,6 +311,11 @@ def ingest(path, directed: bool = False) -> SignedGraph:
             dropped_edges,
         )
     return g
+
+
+def _read_symmetrized(path, directed: bool) -> EdgeList:
+    edges = read_edge_list(path)
+    return replace(edges, w=0.5 * edges.w) if directed else edges
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:

@@ -8,8 +8,9 @@ and first-order optimality residuals of the continuous solution.
 
 ``naive_read_edge_list``, ``naive_build_graph`` and ``naive_degrees`` are
 the per-line and per-edge references for the columnar ingest in ``io`` and
-``graph``; ``bisect_shift`` is the one-CG-solve-per-step reference for the
-secular root in ``spectral``.
+``graph``; ``naive_edge_counts`` is the all-edges reference for the
+row pass of ``graph.edge_counts``; ``bisect_shift`` is the
+one-CG-solve-per-step reference for the secular root in ``spectral``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import numpy as np
 
 from .graph import (
     Community,
+    EdgeCounts,
     GraphError,
     Label,
     SignedGraph,
+    _membership,
     as_node_set,
     community,
     rayleigh_quotient,
@@ -173,6 +176,29 @@ def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(deg, ends, absw)
         np.add.at(pos, ends, posw)
     return deg, pos
+
+
+def naive_edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
+    """Reference for ``graph.edge_counts``: a masked pass over all edges."""
+    side = _membership(g, c1, c2)
+    su = side[g.edge_u]
+    sv = side[g.edge_v]
+    w = g.edge_w
+    aw = np.abs(w)
+    pos = w > 0
+    across = su.astype(np.int16) * sv == -1
+    same1 = (su == 1) & (sv == 1)
+    same2 = (su == -1) & (sv == -1)
+    bound = (su != 0) != (sv != 0)
+    return EdgeCounts(
+        pos_across=float(w[pos & across].sum()),
+        neg_in_1=float(aw[~pos & same1].sum()),
+        neg_in_2=float(aw[~pos & same2].sum()),
+        boundary=float(aw[bound].sum()),
+        pos_in_1=float(w[pos & same1].sum()),
+        pos_in_2=float(w[pos & same2].sum()),
+        neg_across=float(aw[~pos & across].sum()),
+    )
 
 
 def correlation_at(

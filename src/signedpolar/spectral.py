@@ -208,6 +208,11 @@ def solve_shifted(
             return x, it
         z = inv_diag * r
         rz_next = float(r @ z)
+        if rz_next == 0.0:  # r is nonzero, so r'D^-1 r underflowed
+            raise ConvergenceError(
+                "conjugate gradients stalled: the residual underflowed",
+                float(np.linalg.norm(r)) / bnorm,
+            )
         p = z + (rz_next / rz) * p
         rz = rz_next
     raise ConvergenceError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from signedpolar import build_graph, random_signed_graph
+from signedpolar.oracle import naive_degrees
 
 
 @pytest.fixture
@@ -50,3 +51,15 @@ def make_random_graph(n, extra, seed, weighted=False, neg_fraction=0.5):
         n, extra_edges=extra, rng_seed=seed, weighted=weighted,
         neg_fraction=neg_fraction,
     )
+
+
+def assert_same_graph(g, ref):
+    """Same labels, edges, degrees and volume, bit for bit."""
+    assert g.labels == ref.labels
+    for name in ("edge_u", "edge_v", "edge_w"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    deg, pos = naive_degrees(ref)
+    assert np.array_equal(g.degrees, deg)
+    assert np.array_equal(g.pos_degrees, pos)
+    assert g.total_volume == float(deg.sum())

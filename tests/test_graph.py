@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedpolar import (
     GraphError,
+    SignedGraph,
     beta,
     build_graph,
     community,
     edge_counts,
     indicator_vector,
     largest_component,
+    random_signed_graph,
     rayleigh_quotient,
     seed_vector,
 )
-from conftest import make_random_graph, scratch_beta
+import signedpolar.graph as graph_mod
+from signedpolar.oracle import naive_build_graph, naive_edge_counts
+from conftest import assert_same_graph, make_random_graph, scratch_beta
 
 
 class TestBuildGraph:
@@ -56,7 +61,53 @@ class TestBuildGraph:
         np.testing.assert_allclose(g.degrees, recomputed, rtol=1e-14)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0, 1, 0], [1, 2, 1]), ([0, 1], [1, 0]), ([0, 2], [1, 1]), ([1], [1]), ([0, 2], [1, 0])],
+    )
+    def test_pairs_must_be_distinct_and_ordered(self, u, v):
+        with pytest.raises(GraphError, match="distinct with edge_u < edge_v"):
+            SignedGraph(["a", "b", "c"], u, v, np.ones(len(u)))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_adjacency_matches_the_coo_route(self, weighted):
+        g = random_signed_graph(200, 900, rng_seed=3, weighted=weighted)
+        n = g.node_count
+        ref = sp.csr_matrix(
+            (np.concatenate([g.edge_w, g.edge_w]),
+             (np.concatenate([g.edge_u, g.edge_v]), np.concatenate([g.edge_v, g.edge_u]))),
+            shape=(n, n),
+        )
+        ref.sum_duplicates()
+        adj = g.adjacency
+        assert adj.indices.dtype == np.int32 and adj.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+
+
+def _random_split(g, rng):
+    side = rng.integers(-1, 2, size=g.node_count)
+    return np.flatnonzero(side == 1), np.flatnonzero(side == -1)
+
+
 class TestEdgeCounts:
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 60), weighted=st.booleans(),
+           whole=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_row_pass_matches_all_edge_reference(self, seed, n, weighted, whole):
+        g = make_random_graph(n, 3 * n, seed=seed, weighted=weighted)
+        rng = np.random.default_rng(seed)
+        c1, c2 = _random_split(g, rng)
+        if whole:  # every node in a band: the pass covers all rows
+            c1 = np.setdiff1d(np.arange(g.node_count), c2)
+        fast, ref = edge_counts(g, c1, c2), naive_edge_counts(g, c1, c2)
+        if weighted:
+            for name, value in vars(ref).items():
+                assert getattr(fast, name) == pytest.approx(value, rel=1e-12, abs=1e-300)
+        else:
+            assert fast == ref
+
     def test_t3_two_vs_one(self, t3):
         c = edge_counts(t3, {0, 1}, {2})
         assert c.pos_across == 1.0
@@ -228,3 +279,37 @@ class TestLargestComponent:
     def test_connected_graph_untouched(self, t3):
         sub, dn, de = largest_component(t3)
         assert sub is t3 and dn == 0 and de == 0
+
+    @pytest.mark.parametrize("reverse_numbering", [False, True])
+    @pytest.mark.parametrize("first", ["abc", "xyz"])
+    def test_equal_volumes_keep_the_smallest_node_index(
+        self, monkeypatch, first, reverse_numbering
+    ):
+        tri = {name: [(name[0], name[1], 1.0), (name[1], name[2], 1.0), (name[0], name[2], -1.0)]
+               for name in ("abc", "xyz")}
+        second = "xyz" if first == "abc" else "abc"
+        g = build_graph(tri[first] + tri[second])
+        if reverse_numbering:  # the tie-break must not rest on the search's numbering
+            real = graph_mod.connected_components
+
+            def reversed_components(*args, **kwargs):
+                ncomp, comp = real(*args, **kwargs)
+                return ncomp, ncomp - 1 - comp
+
+            monkeypatch.setattr(graph_mod, "connected_components", reversed_components)
+        sub, dropped_nodes, _ = largest_component(g)
+        assert sub.labels == tuple(first) and dropped_nodes == 3
+
+    def test_disconnected_input_matches_reference_on_the_component(self):
+        big =make_random_graph(40, 80, seed=2, weighted=True)
+        small = make_random_graph(12, 10, seed=3, weighted=True)
+        rows = [(f"b{u}", f"b{v}", w) for u, v, w in
+                zip(big.edge_u.tolist(), big.edge_v.tolist(), big.edge_w.tolist())]
+        rows += [(f"s{u}", f"s{v}", w) for u, v, w in
+                 zip(small.edge_u.tolist(), small.edge_v.tolist(), small.edge_w.tolist())]
+        order = np.random.default_rng(4).permutation(len(rows))
+        rows = [rows[i] for i in order]
+        sub, dropped_nodes, dropped_edges = largest_component(build_graph(rows))
+        assert (dropped_nodes, dropped_edges) == (small.node_count, small.edge_count)
+        ref = naive_build_graph([r for r in rows if r[0].startswith("b")])
+        assert_same_graph(sub, ref)

@@ -1,10 +1,13 @@
 """The columnar reader and builder against the per-line references in
 ``oracle``: same labels, edges, degrees and errors, bit for bit."""
 
+import tracemalloc
 from dataclasses import replace
+from io import BytesIO
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,7 @@ from signedpolar.cli import EXIT_DATA, main
 from signedpolar.oracle import naive_build_graph, naive_degrees, naive_read_edge_list
 from signedpolar import synth as synth_mod
 from signedpolar.synth import SynthParams, generate
+from conftest import assert_same_graph
 
 
 def _fast(path, directed=False):
@@ -45,17 +49,6 @@ def _outcome(build, path, directed=False):
         return build(path, directed)
     except (IngestError, GraphError) as exc:
         return type(exc), str(exc)
-
-
-def assert_same_graph(g, ref):
-    assert g.labels == ref.labels
-    for name in ("edge_u", "edge_v", "edge_w"):
-        a, b = getattr(g, name), getattr(ref, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    deg, pos = naive_degrees(ref)
-    assert np.array_equal(g.degrees, deg)
-    assert np.array_equal(g.pos_degrees, pos)
-    assert g.total_volume == float(deg.sum())
 
 
 def assert_matches_reference(path, directed=False):
@@ -122,6 +115,24 @@ class TestReferenceEquivalence:
         path = tmp_path_factory.mktemp("prop") / "g.edges"
         path.write_bytes(text.encode())
         assert_matches_reference(path, directed)
+
+    @given(text=edge_files(), directed=st.booleans(), block=st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_tiny_blocks_match_reference(self, tmp_path_factory, text, directed, block):
+        # blocks this small split \r\n pairs, comments, long labels and
+        # multi-byte characters wherever a cut could land
+        path = tmp_path_factory.mktemp("prop") / "g.edges"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_mod, "_BLOCK_BYTES", block)
+            assert_matches_reference(path, directed)
+
+    def test_blocks_end_after_line_breaks(self, monkeypatch):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 4)
+        text = b"a b 1\r\nc d 1\re f 1\ng h 1"
+        blocks = list(io_mod._blocks(BytesIO(text)))
+        assert b"".join(blocks) == text
+        assert blocks == [b"a b 1\r\n", b"c d 1\r", b"e f 1\n", b"g h 1"]
 
     def test_repeated_pair_sums_in_row_order(self, tmp_path):
         # (1e16 + 1) + 1 == 1e16, but 1e16 + (1 + 1) does not
@@ -229,6 +240,35 @@ class TestErrors:
         path.write_text("a b 1\na b c d\na c x\n")
         assert _outcome(_fast, path) == _outcome(_reference, path)
 
+    @pytest.mark.parametrize("block", [64, 1000, 1 << 22])
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("n1 n2 x", "n1 n2", ":3000: weight 'x' is not a number"),
+            ("n1 n2", "n1 n2 x", ":3000: expected 'u v w', got 'n1 n2'"),
+            ("n1 n2 1 1", "n1 n2 x", ":3000: expected 'u v w', got 'n1 n2 1 1'"),
+        ],
+    )
+    def test_later_block_errors_name_file_lines(
+        self, tmp_path, monkeypatch, block, first, second, message
+    ):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", block)
+        rows = [f"n{i} n{i + 1} 1" for i in range(9_000)]
+        rows[2_999] = first
+        rows[6_999] = second
+        path = tmp_path / "g.edges"
+        path.write_text("\r\n".join(rows) + "\r\n")
+        fast = _outcome(_fast, path)
+        assert fast == _outcome(_reference, path)
+        assert fast[0] is IngestError and f"{path}{message}" in fast[1]
+
+    def test_undecodable_byte_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 100)
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"a b 1\n" * 500 + b"c \xff 1\n" + b"a b 1\n" * 10)
+        with pytest.raises(IngestError, match=r"g\.edges:501: byte 0xff is not valid UTF-8"):
+            read_edge_list(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_bytes(b"")
@@ -321,3 +361,53 @@ class TestConnectivityMemo:
         query(g, ["b"], ["d"], kappa=0.5)
         assert len(calls) == 1
         assert g.is_connected()
+
+
+def _generated_file(tmp_path):
+    """A weighted random graph written with reversed and split duplicate
+    rows, so the merge has work to do."""
+    g = random_signed_graph(3_000, 30_000, rng_seed=6, weighted=True)
+    rows = [f"{g.labels[u]} {g.labels[v]} {w!r}" for u, v, w in
+            zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())]
+    rows += [f"{g.labels[v]} {g.labels[u]} 0.25" for u, v in
+             zip(g.edge_u[::7].tolist(), g.edge_v[::7].tolist())]
+    path = tmp_path / "gen.edges"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestLeanBuild:
+    def test_generated_file_gives_the_reference_graph(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 14)
+        path = _generated_file(tmp_path)
+        g = ingest(path)
+        assert_same_graph(g, naive_build_graph(naive_read_edge_list(path)))
+        # the adjacency the COO route builds, with duplicates summed
+        n, m = g.node_count, g.edge_count
+        ref = sp.csr_matrix(
+            (np.concatenate([g.edge_w, g.edge_w]),
+             (np.concatenate([g.edge_u, g.edge_v]), np.concatenate([g.edge_v, g.edge_u]))),
+            shape=(n, n),
+        )
+        ref.sum_duplicates()
+        adj = g.adjacency
+        assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+        assert adj.nnz == 2 * m and adj.has_sorted_indices
+
+    def test_ingest_peak_is_a_small_multiple_of_the_graph(self, tmp_path, monkeypatch):
+        # With the file in many blocks, ingest holds about one graph's worth
+        # of temporaries at a time: about 2x the graph's arrays in all.
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 16)
+        path = _generated_file(tmp_path)
+        tracemalloc.start()
+        try:
+            g = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adj = g.adjacency
+        arrays = (g.edge_u, g.edge_v, g.edge_w, g.degrees, g.pos_degrees, g.neg_degrees,
+                  adj.data, adj.indices, adj.indptr)
+        assert peak <= 2.5 * sum(a.nbytes for a in arrays)

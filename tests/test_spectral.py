@@ -142,6 +142,14 @@ class TestSolveShifted:
             solve_shifted(t3, -0.5, np.array([1.0, -1.0, 0.5]), tol=1e-15, max_iter=1)
         assert exc.value.residual > 0
 
+    def test_unreachable_tolerance_raises_with_residual(self):
+        # the recursive residual underflows long before 1e-300 * |b|
+        g = make_random_graph(30, 60, seed=1, weighted=True)
+        s = seed_vector(g, {0}, {1})
+        with pytest.raises(ConvergenceError, match="underflowed") as exc:
+            solve_seeded(g, s, kappa=0.9, cg_tol=1e-300)
+        assert 0 < exc.value.residual < 1e-100
+
 
 class TestSolveSeeded:
     def test_kappa_zero_returns_eigenvector(self, t3):
