@@ -45,6 +45,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
+EPS_HELP = ("bound on |c - kappa| for the solution's seed correlation c; "
+            "it also sets how long Lanczos runs on graphs above 512 nodes")
+CG_TOL_HELP = "relative residual of the one certifying CG solve"
+
 
 class _UsageError(Exception):
     pass
@@ -88,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kappa", type=float, default=0.9)
     q.add_argument("--k", type=_budget_arg, default=None,
                    help="volume budget k > 1; sets kappa = sqrt(1/k)")
-    q.add_argument("--eps", type=float, default=1e-3)
-    q.add_argument("--cg-tol", type=float, default=1e-8)
+    q.add_argument("--eps", type=float, default=1e-3, help=EPS_HELP)
+    q.add_argument("--cg-tol", type=float, default=1e-8, help=CG_TOL_HELP)
     q.add_argument("--emit-vector", action="store_true")
     q.add_argument("--out", default=None)
 
@@ -111,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--outliers", type=int, default=0)
     e.add_argument("--graphs", type=int, default=10)
     e.add_argument("--queries", type=int, default=10)
-    e.add_argument("--eps", type=float, default=1e-3)
-    e.add_argument("--cg-tol", type=float, default=1e-8)
+    e.add_argument("--eps", type=float, default=1e-3, help=EPS_HELP)
+    e.add_argument("--cg-tol", type=float, default=1e-8, help=CG_TOL_HELP)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--timings", action="store_true",
                    help="append wall-time columns (breaks byte determinism)")
@@ -129,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--avg-degree", type=float, default=None)
     b.add_argument("--eta", type=float, default=0.05)
     b.add_argument("--kappa", type=float, default=0.9)
-    b.add_argument("--cg-tol", type=float, default=1e-8)
+    b.add_argument("--cg-tol", type=float, default=1e-8, help=CG_TOL_HELP)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--doubling", action="store_true",
                    help="also time the rounding step at twice the node count")

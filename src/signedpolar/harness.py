@@ -74,9 +74,10 @@ def query(
 
     The document carries the two bands (as labels), the ratio, solver
     diagnostics (including ``search_steps``, the evaluations of the secular
-    correlation in the shift's root find, and ``cg_iterations``, those of
-    the one certifying CG solve), quality metrics, and the solve/round wall
-    times in milliseconds.
+    correlation in the shift's root find, ``lanczos_steps``, the Lanczos
+    matvecs behind it (0 on the dense path), and ``cg_iterations``, those
+    of the one certifying CG solve), quality metrics, and the solve/round
+    wall times in milliseconds.
     """
     s1 = frozenset(g.index_of(lab) for lab in s1_labels)
     s2 = frozenset(g.index_of(lab) for lab in s2_labels)
@@ -101,6 +102,7 @@ def query(
         "objective": sol.objective,
         "constraint_active": sol.constraint_active,
         "search_steps": sol.search_steps,
+        "lanczos_steps": sol.lanczos_steps,
         "cg_iterations": sol.cg_iterations,
         "warnings": list(sol.warnings),
         "metrics": {

@@ -17,8 +17,13 @@ r = (2 - alpha) / (-alpha), for every graph and seed, and
 ``shift_lower_bound`` solves that bound for kappa. Up to DENSE_EIG_LIMIT
 nodes the pairs come from the full eigendecomposition that
 ``smallest_eigenpair`` computes anyway; above it, from Lanczos on Lnorm
-started at b. One preconditioned conjugate-gradient solve at the root then
-produces x, and its measured correlation certifies the root to ``eps``.
+started at b. Lanczos stops once Gauss and Gauss-Radau quadrature over its
+tridiagonal bracket the true c at the root within ``eps / 2`` of kappa
+(Golub & Meurant, *Matrices, Moments and Quadrature*, 2010): Gauss bounds
+s1 and s2 from below, Gauss-Radau with a node at ``hi <= lambda1`` from
+above, so s1_G / sqrt(s2_R) <= c <= s1_R / sqrt(s2_G). One preconditioned
+conjugate-gradient solve at the root then produces x, and its measured
+correlation certifies the root to ``eps``.
 """
 
 from __future__ import annotations
@@ -79,7 +84,9 @@ class SpectralSolution:
 
     ``cg_iterations`` counts the iterations of the one CG solve that made
     ``x``, ``search_steps`` the evaluations of c(alpha) in the final root
-    find (>= 1 if the constraint is active); both are 0 for the eigenvector.
+    find (>= 1 if the constraint is active) and ``lanczos_steps`` the
+    Lanczos steps (matvecs) that built the spectrum it searched, 0 on the
+    dense path; all three are 0 for the eigenvector.
     """
 
     x: np.ndarray
@@ -90,6 +97,7 @@ class SpectralSolution:
     objective: float
     cg_iterations: int
     search_steps: int
+    lanczos_steps: int
     constraint_active: bool
     warnings: tuple[str, ...] = field(default=())
 
@@ -255,22 +263,56 @@ def secular_root(
     return float(alpha), steps
 
 
+def _moments(theta: np.ndarray, w: np.ndarray, alpha: float) -> tuple[float, float]:
+    u = 1.0 / (theta - alpha)
+    return float(w @ u), float(w @ u**2)
+
+
+def correlation_bracket(
+    gauss: tuple[np.ndarray, np.ndarray],
+    radau: tuple[np.ndarray, np.ndarray],
+    alpha: float,
+) -> tuple[float, float]:
+    """Bounds c_lo <= c(alpha) <= c_hi from the Gauss pairs (theta, w) of a
+    Lanczos tridiagonal and the Gauss-Radau pairs of its extension with a
+    prescribed node in (alpha, lambda1]. On the spectrum 1/(t - alpha)^j has
+    positive even and negative odd derivatives, so Gauss underestimates s1
+    and s2 and Gauss-Radau overestimates them: c_lo = s1_G / sqrt(s2_R) and
+    c_hi = s1_R / sqrt(s2_G).
+    """
+    s1_g, s2_g = _moments(*gauss, alpha)
+    s1_r, s2_r = _moments(*radau, alpha)
+    return s1_g / np.sqrt(s2_r), s1_r / np.sqrt(s2_g)
+
+
 def lanczos_root(
-    g: SignedGraph, b: np.ndarray, kappa: float, lo: float, hi: float, tol: float
-) -> tuple[float, int]:
+    g: SignedGraph,
+    b: np.ndarray,
+    kappa: float,
+    lo: float,
+    hi: float,
+    tol: float,
+    eps: float,
+) -> tuple[float, int, int]:
     """``secular_root`` over the Ritz pairs (theta, |b|^2 z[0]^2) of the
     tridiagonal T_k = Z diag(theta) Z' of Lanczos on Lnorm started at b,
-    without reorthogonalization or a stored basis. Stops at breakdown or
-    once the Ritz residual bound beta_k |e_k'(T_k - alpha)^{-1} e1| at the
-    current root, the relative residual CG reaches in the same Krylov
-    space, is at most ``tol``.
+    without reorthogonalization or a stored basis. Stops at the first step
+    k where the ``correlation_bracket`` at the current root lies within
+    ``eps / 2`` of ``kappa``; its Gauss-Radau matrix extends T_k by beta_k
+    and the diagonal omega = hi + beta_k^2 sum_i z[-1, i]^2 / (theta_i - hi),
+    which makes ``hi`` an eigenvalue. The bracket is skipped at a root equal
+    to ``hi``, where its upper end is infinite. Stops earlier at breakdown
+    or once the Ritz residual bound beta_k |e_k'(T_k - alpha)^{-1} e1|, the
+    relative residual CG reaches in the same Krylov space, is at most
+    ``tol``. Returns the root, the evaluations of c in its final root find
+    and k.
     """
     bnorm = float(np.linalg.norm(b))
     q_prev, q = np.zeros_like(b), b / bnorm
     diag, off = [], []
     beta = 0.0
     cap = 20 * g.node_count
-    for _ in range(cap):
+    for k in range(1, cap + 1):
         v = normalized_laplacian_apply(g, q) - beta * q_prev
         diag.append(float(q @ v))
         v -= diag[-1] * q
@@ -282,10 +324,18 @@ def lanczos_root(
                 f"Ritz value {theta[0]:.6g} lies below the shift bracket end "
                 f"{hi:.6g}: the eigenvalue estimate is too high"
             )
-        alpha, steps = secular_root(theta, bnorm**2 * z[0] ** 2, kappa, lo, hi)
+        w = bnorm**2 * z[0] ** 2
+        alpha, steps = secular_root(theta, w, kappa, lo, hi)
         resid = beta * abs(float(z[-1] @ (z[0] / (theta - alpha))))
         if resid <= tol or beta <= _BREAKDOWN:
-            return alpha, steps
+            return alpha, steps, k
+        if alpha < hi:
+            omega = hi + beta**2 * float(z[-1] ** 2 @ (1.0 / (theta - hi)))
+            theta_r, z_r = eigh_tridiagonal(diag + [omega], off + [beta])
+            c_lo, c_hi = correlation_bracket(
+                (theta, w), (theta_r, bnorm**2 * z_r[0] ** 2), alpha)
+            if abs(c_lo - kappa) <= eps / 2 and abs(c_hi - kappa) <= eps / 2:
+                return alpha, steps, k
         off.append(beta)
         q_prev, q = q, v / beta
     raise ConvergenceError(f"Lanczos hit the {cap}-step cap", resid)
@@ -333,6 +383,7 @@ def solve_seeded(
         )
 
     active = kappa > c_limit
+    lanczos_steps = 0
     if not active:
         x, alpha, c, objective, iters, steps = v1, lam1, c_limit, lam1, 0, 0
     else:
@@ -342,7 +393,7 @@ def solve_seeded(
         lo = min(shift_lower_bound(kappa), hi)
         b = np.sqrt(g.degrees) * s.values
         if eig.spectrum is None:
-            alpha, steps = lanczos_root(g, b, kappa, lo, hi, cg_tol)
+            alpha, steps, lanczos_steps = lanczos_root(g, b, kappa, lo, hi, cg_tol, eps)
         else:
             theta, u = eig.spectrum
             alpha, steps = secular_root(theta, (u.T @ b) ** 2, kappa, lo, hi)
@@ -371,6 +422,7 @@ def solve_seeded(
         objective=objective,
         cg_iterations=iters,
         search_steps=steps,
+        lanczos_steps=lanczos_steps,
         constraint_active=active,
         warnings=tuple(warnings),
     )

@@ -31,6 +31,12 @@ import numpy as np
 from .graph import Community, GraphError, SignedGraph, community
 
 
+# An edge's charge in units of w, indexed by 2 * (endpoints on one side) +
+# (w > 0): negative across 2w, positive across 0, negative within w,
+# positive within -2w.
+_CHARGE = np.array([2.0, 0.0, 1.0, -2.0])
+
+
 class SweepError(ValueError):
     """Raised for unsweepable input (e.g. the all-zero vector)."""
 
@@ -71,6 +77,13 @@ def _check_vector(g: SignedGraph, x) -> np.ndarray:
     return x
 
 
+def edge_charge(w: np.ndarray, same_side: np.ndarray) -> np.ndarray:
+    """Contradiction weight minus 2|w| of each edge, given whether its
+    endpoints fall on one side: -2|w| if the edge agrees with the bands, 0
+    if positive across them, -|w| if negative within one."""
+    return w * _CHARGE[2 * same_side + (w > 0)]
+
+
 def build_sweep_table(g: SignedGraph, x) -> SweepTable:
     """Fill all prefix arrays in O(m + n log n): one sort, then one edge pass
     charging each edge at the prefix where its later endpoint enters."""
@@ -83,12 +96,8 @@ def build_sweep_table(g: SignedGraph, x) -> SweepTable:
     rank[order_abs] = np.arange(nz, dtype=np.int32)
 
     hi = np.maximum(rank[g.edge_u], rank[g.edge_v])
-    w = g.edge_w
     positive = x > 0
-    agree = (positive[g.edge_u] == positive[g.edge_v]) == (w > 0)
-    # contradiction weight - 2|w|: -2|w| if the edge agrees with the bands,
-    # 0 if positive across them, -|w| if negative within one
-    charge = np.where(agree, -2.0 * np.abs(w), np.minimum(w, 0.0))
+    charge = edge_charge(g.edge_w, positive[g.edge_u] == positive[g.edge_v])
     # bin nz + 1 collects the edges touching a zero entry, never inside
     charge = np.bincount(hi + 1, weights=charge, minlength=nz + 2)[: nz + 1]
     vol_abs = np.concatenate([[0.0], np.cumsum(g.degrees[order_abs])])

@@ -102,6 +102,7 @@ class TestQuery:
         ref = naive_sweep(t3, sol.x)
         assert doc["beta"] == pytest.approx(ref.beta, rel=1e-9)
         assert doc["search_steps"] == sol.search_steps >= 1
+        assert doc["lanczos_steps"] == sol.lanczos_steps == 0  # dense path
         assert doc["cg_iterations"] == sol.cg_iterations >= 1
         assert doc["timings"]["solve_ms"] >= 0
         assert doc["timings"]["round_ms"] >= 0

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signedpolar import (
@@ -228,12 +229,14 @@ class TestSolveSeeded:
         assert sol.objective <= 1e-10
 
 
-def solve_on(g, s, kappa, source=None, **kwargs):
+def solve_on(g, s, kappa, source=None, lanczos_eps=None, **kwargs):
     """``solve_seeded`` on the spectral source its graph size selects, or on
     Lanczos when ``source`` is "lanczos"; returns the solution and the CG
-    iterations of each ``spectral.solve_shifted`` call it made."""
+    iterations of each ``spectral.solve_shifted`` call it made. With
+    ``lanczos_eps``, Lanczos runs to that eps instead of the solver's."""
     calls = []
     solve, eig = spectral.solve_shifted, spectral.smallest_eigenpair
+    root = spectral.lanczos_root
 
     def counting(*args, **kw):
         out = solve(*args, **kw)
@@ -245,8 +248,28 @@ def solve_on(g, s, kappa, source=None, **kwargs):
         if source == "lanczos":
             mp.setattr(spectral, "smallest_eigenpair",
                        lambda g, tol: replace(eig(g, tol), spectrum=None))
+        if lanczos_eps is not None:
+            mp.setattr(spectral, "lanczos_root",
+                       lambda *args: root(*args[:-1], lanczos_eps))
         sol = solve_seeded(g, s, kappa=kappa, **kwargs)
     return sol, calls
+
+
+@contextmanager
+def recorded_brackets():
+    """Collects (alpha, c_lo, c_hi) of every ``correlation_bracket`` that
+    ``lanczos_root`` computes inside the block."""
+    brackets = []
+    bracket = spectral.correlation_bracket
+
+    def recording(gauss, radau, alpha):
+        out = bracket(gauss, radau, alpha)
+        brackets.append((alpha, *out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "correlation_bracket", recording)
+        yield brackets
 
 
 NEARLY_ORTHOGONAL = "nearly D-orthogonal"
@@ -295,6 +318,17 @@ class TestSolverWarnings:
         assert any(DEGENERATE in w for w in sol.warnings)
 
 
+def _seeded_graph(n, extra, graph_seed, weighted, neg_fraction, two_sided):
+    """A random signed graph and a seed on one or two random node sets."""
+    g = make_random_graph(n, extra, seed=graph_seed, weighted=weighted,
+                          neg_fraction=neg_fraction)
+    rng = np.random.default_rng(graph_seed)
+    nodes = rng.permutation(g.node_count)
+    k1 = int(rng.integers(1, g.node_count // 2 + 1))
+    k2 = int(rng.integers(1, g.node_count // 2 + 1)) if two_sided else 0
+    return g, seed_vector(g, set(nodes[:k1].tolist()), set(nodes[k1:k1 + k2].tolist()))
+
+
 def _dense_correlation(g, s, alpha):
     rootd = np.sqrt(g.degrees)
     b = rootd * s.values
@@ -330,13 +364,7 @@ class TestShiftLowerBound:
     def test_bracket_lower_end_meets_kappa(
         self, n, extra, graph_seed, weighted, neg_fraction, two_sided, kappa
     ):
-        g = make_random_graph(n, extra, seed=graph_seed, weighted=weighted,
-                              neg_fraction=neg_fraction)
-        rng = np.random.default_rng(graph_seed)
-        nodes = rng.permutation(g.node_count)
-        k1 = int(rng.integers(1, g.node_count // 2 + 1))
-        k2 = int(rng.integers(1, g.node_count // 2 + 1)) if two_sided else 0
-        s = seed_vector(g, set(nodes[:k1].tolist()), set(nodes[k1:k1 + k2].tolist()))
+        g, s = _seeded_graph(n, extra, graph_seed, weighted, neg_fraction, two_sided)
         alpha_lo = shift_lower_bound(kappa)
         assert _dense_correlation(g, s, alpha_lo) >= kappa - 1e-12
         # on (nearly) balanced graphs with kappa below about 4.5e-4, alpha_lo
@@ -379,22 +407,27 @@ class TestSecularSources:
         two_sided=st.booleans(),
         kappa=st.floats(0.0, 0.999999, exclude_min=True),
     )
+    # the bracket stop moves this Lanczos root off the dense one, inside eps
+    @example(n=4, extra=60, graph_seed=4, weighted=False, neg_fraction=0.2,
+             two_sided=False, kappa=0.998046875)
     def test_both_sources_match_dense_solve(
         self, n, extra, graph_seed, weighted, neg_fraction, two_sided, kappa
     ):
-        g = make_random_graph(n, extra, seed=graph_seed, weighted=weighted,
-                              neg_fraction=neg_fraction)
-        rng = np.random.default_rng(graph_seed)
-        nodes = rng.permutation(g.node_count)
-        k1 = int(rng.integers(1, g.node_count // 2 + 1))
-        k2 = int(rng.integers(1, g.node_count // 2 + 1)) if two_sided else 0
-        s = seed_vector(g, set(nodes[:k1].tolist()), set(nodes[k1:k1 + k2].tolist()))
-        alphas = []
+        g, s = _seeded_graph(n, extra, graph_seed, weighted, neg_fraction, two_sided)
+        eps = 1e-6
+        sols = {}
         for source in SOURCES:
-            sol, calls = solve_on(g, s, kappa, source, eps=1e-6, cg_tol=1e-11)
-            _assert_matches_dense(g, s, kappa, sol, calls, eps=1e-6)
-            alphas.append(sol.alpha)
-        assert alphas[1] == pytest.approx(alphas[0], rel=1e-9, abs=1e-12)
+            sols[source], calls = solve_on(g, s, kappa, source, eps=eps, cg_tol=1e-11)
+            _assert_matches_dense(g, s, kappa, sols[source], calls, eps=eps)
+        # The bracket stop pins the Lanczos root's true correlation to eps / 2.
+        alpha = sols["lanczos"].alpha
+        if sols["lanczos"].constraint_active:
+            assert abs(_dense_correlation(g, s, alpha) - kappa) <= eps / 2 + 1e-12
+        # At an eps the bracket cannot meet, the Ritz residual stop governs
+        # and the Lanczos root is the dense one.
+        sol, _ = solve_on(g, s, kappa, "lanczos", eps=eps, cg_tol=1e-11,
+                          lanczos_eps=2 * spectral._C_RESOLUTION)
+        assert sol.alpha == pytest.approx(sols["dense"].alpha, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("edges, s1, s2, kappa", [
@@ -438,6 +471,73 @@ class TestSecularSources:
             assert abs(correlation_at(g, sol.alpha, s)[0] - kappa) <= eps
             ours, ref = fast_sweep(g, sol.x), fast_sweep(g, x_ref)
             assert (ours.c1, ours.c2) == (ref.c1, ref.c2)
+
+
+class TestCorrelationBracket:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 60),
+        extra=st.integers(0, 120),
+        graph_seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+        neg_fraction=st.sampled_from([0.0, 0.2, 0.5]),
+        two_sided=st.booleans(),
+        kappa=st.floats(0.0, 0.999999, exclude_min=True),
+    )
+    def test_bracket_holds_dense_correlation(
+        self, n, extra, graph_seed, weighted, neg_fraction, two_sided, kappa
+    ):
+        g, s = _seeded_graph(n, extra, graph_seed, weighted, neg_fraction, two_sided)
+        with recorded_brackets() as brackets:
+            solve_on(g, s, kappa, "lanczos")
+        for alpha, c_lo, c_hi in brackets:
+            c = _dense_correlation(g, s, alpha)
+            assert c_lo - 1e-12 <= c <= c_hi + 1e-12
+
+    @pytest.fixture(scope="class")
+    def planted(self):
+        """The 640-node planted graph of ``test_lanczos_matches_reference_bisection``
+        with its eigenpair cached, and a seed on its first pair."""
+        g, truth = generate(SynthParams(pairs=16, band_size=20, eta=0.01, rng_seed=3))
+        band1, band2 = truth.pairs[0]
+        smallest_eigenpair(g)
+        return g, seed_vector(g, {g.index_of(min(band1))}, {g.index_of(min(band2))})
+
+    @staticmethod
+    def lanczos_run(g, s, kappa, eps, bracket=True):
+        """Matvecs of ``lanczos_root`` at ``eps`` (without the bracket stop
+        if ``bracket`` is False) in a solve certified to 1e-3, and the
+        brackets it computed."""
+        matvecs = []
+        apply = spectral.normalized_laplacian_apply
+
+        def counting(*args):
+            matvecs.append(1)
+            return apply(*args)
+
+        with recorded_brackets() as brackets, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "normalized_laplacian_apply", counting)
+            if not bracket:
+                mp.setattr(spectral, "correlation_bracket", lambda *a: (-np.inf, np.inf))
+            sol, _ = solve_on(g, s, kappa, lanczos_eps=eps)
+        assert sol.lanczos_steps == len(matvecs)
+        return len(matvecs), brackets
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.5, 0.9])
+    def test_bracket_stop_saves_steps(self, planted, kappa):
+        g, s = planted
+        residual_only, _ = self.lanczos_run(g, s, kappa, 1e-3, bracket=False)
+        steps = {}
+        for eps in (1e-3, 1e-6, 1e-10, 1e-14):
+            steps[eps], brackets = self.lanczos_run(g, s, kappa, eps)
+            assert steps[eps] <= residual_only
+            # Lanczos stops at the first bracket inside eps / 2 of kappa.
+            inside = [abs(lo - kappa) <= eps / 2 and abs(hi - kappa) <= eps / 2
+                      for _, lo, hi in brackets]
+            assert not any(inside[:-1])
+            if steps[eps] < residual_only:
+                assert inside[-1]
+        assert steps[1e-3] < steps[1e-14]
 
 
 def test_import_leaves_scipy_optimize_out():

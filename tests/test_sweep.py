@@ -11,6 +11,7 @@ from signedpolar import (
     naive_sweep,
     rayleigh_quotient,
 )
+from signedpolar.sweep import edge_charge
 from conftest import make_random_graph, scratch_beta
 
 X3 = np.array([0.9, 0.5, -0.8])
@@ -103,6 +104,26 @@ class TestSweepTable:
             c2 = [int(u) for u in prefix if x[u] < 0]
             expected = scratch_beta(g, c1, c2)
             assert t.beta_prefix[i] == pytest.approx(expected, rel=1e-12)
+
+
+class TestEdgeCharge:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 80),
+        neg_fraction=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_select_expression_bit_for_bit(self, seed, n, neg_fraction):
+        rng = np.random.default_rng(seed)
+        g = make_random_graph(n, int(rng.integers(0, 3 * n)), seed=seed % 997,
+                              weighted=True, neg_fraction=neg_fraction)
+        positive = rng.random(n) < 0.5
+        same_side = positive[g.edge_u] == positive[g.edge_v]
+        w = g.edge_w
+        agree = same_side == (w > 0)
+        ref = np.where(agree, -2.0 * np.abs(w), np.minimum(w, 0.0))
+        # same floats, sign bits of zeros included
+        assert np.array_equal(edge_charge(w, same_side).view(np.int64), ref.view(np.int64))
 
 
 class TestFastSweep:
