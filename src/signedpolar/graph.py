@@ -18,8 +18,6 @@ from scipy.sparse.csgraph import connected_components
 Label = Hashable
 
 SEED_NORM_TOL = 1e-10
-# Odd multiplier for multiplicative (Fibonacci) hashing of uint64 keys.
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 # Below this many unfinished runs, _sum_runs sums each run on its own.
 _FEW_RUNS = 64
 
@@ -35,9 +33,12 @@ class SignedGraph:
     its external label. The constructor takes each undirected pair exactly
     once with ``edge_u < edge_v`` (:func:`build_graph` merges duplicate
     input pairs by summing weights to get there) and raises
-    :class:`GraphError` otherwise. ``adjacency`` is the symmetric CSR
-    matrix with int32 indices (int64 past their range), columns sorted in
-    each row; it is laid out directly from the pairs, without a COO stage.
+    :class:`GraphError` otherwise. The edges are kept in ``(u, v)`` order;
+    pairs given in another order are sorted into it. ``adjacency`` is the
+    symmetric CSR matrix with int32 indices (int64 past their range),
+    columns sorted in each row, so ``edge_u/edge_v/edge_w`` are its upper
+    triangle in CSR order; it is laid out directly from the pairs, without
+    a COO stage.
 
     Instances are never mutated after construction and are safe to share
     across threads.
@@ -52,32 +53,29 @@ class SignedGraph:
         "edge_w",
         "adjacency",
         "degrees",
-        "pos_degrees",
-        "neg_degrees",
         "total_volume",
         "_cache",
     )
 
     def __init__(self, labels, edge_u, edge_v, edge_w):
         self.labels = tuple(labels)
-        self.node_count = len(self.labels)
-        self.label_index = dict(zip(self.labels, range(self.node_count)))
-        self.edge_u = np.asarray(edge_u, dtype=np.int64)
-        self.edge_v = np.asarray(edge_v, dtype=np.int64)
-        self.edge_w = np.asarray(edge_w, dtype=np.float64)
-        n = self.node_count
-        self.adjacency = sp.csr_matrix(
-            _sorted_csr(self.edge_u, self.edge_v, self.edge_w, n), shape=(n, n)
-        )
+        self.node_count = n = len(self.labels)
+        self.label_index = dict(zip(self.labels, range(n)))
+        u = np.asarray(edge_u, dtype=np.int64)
+        v = np.asarray(edge_v, dtype=np.int64)
+        w = np.asarray(edge_w, dtype=np.float64)
+        if not _in_pair_order(u, v):
+            u, v, w = u.copy(), v.copy(), w.copy()
+            _sort_pairs(u, v, w)
+            if not _in_pair_order(u, v):
+                raise GraphError("edge pairs must be distinct with edge_u < edge_v")
+        self.edge_u, self.edge_v, self.edge_w = u, v, w
+        self.adjacency = sp.csr_matrix(_sorted_csr(u, v, w, n), shape=(n, n))
         # bincount adds in index order and add.at goes on from there: all
         # edge_u terms before the edge_v ones
-        absw = np.abs(self.edge_w)
-        self.degrees = np.bincount(self.edge_u, absw, minlength=n)
-        np.add.at(self.degrees, self.edge_v, absw)
-        posw = np.where(self.edge_w > 0, self.edge_w, 0.0)
-        self.pos_degrees = np.bincount(self.edge_u, posw, minlength=n)
-        np.add.at(self.pos_degrees, self.edge_v, posw)
-        self.neg_degrees = self.degrees - self.pos_degrees
+        absw = np.abs(w)
+        self.degrees = np.bincount(u, absw, minlength=n)
+        np.add.at(self.degrees, v, absw)
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
 
@@ -107,19 +105,17 @@ def _sorted_csr(
     u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(data, indices, indptr)`` of the symmetric matrix with entries
-    ``(u, v, w)`` and ``(v, u, w)``, columns sorted within each row.
+    ``(u, v, w)`` and ``(v, u, w)``, columns sorted within each row, from
+    distinct pairs in ``(u, v)`` order with ``u < v``.
 
-    Since ``u < v``, row ``r`` holds its lower entries (edges with
-    ``v == r``, columns ``u``) before its upper ones (``u == r``, columns
-    ``v``). Stable sorts put the edges in ``(v, u)`` and then in ``(u, v)``
-    order; in those orders each row's lower, resp. upper, entries are
-    consecutive and in column order, so each entry's slot is its rank plus
-    a per-row offset. Random gathers cost as much as a sort here, so each
-    column is gathered as few times as the two orders need.
+    Row ``r`` holds its lower entries (edges with ``v == r``, columns ``u``)
+    before its upper ones (``u == r``, columns ``v``). In ``(u, v)`` order
+    each row's upper entries are consecutive and in column order, and so are
+    its lower entries in ``(v, u)`` order, which one stable sort by ``v``
+    gives. Each entry's slot is its rank in its order plus a per-row offset;
+    a column is gathered into the sorted order only as it is placed.
     """
     m = len(w)
-    if (n - 1).bit_length() + (m - 1).bit_length() > 64:
-        raise GraphError("graph too large to index")
     idx = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
     upper = np.bincount(u, minlength=n)
     lower = np.bincount(v, minlength=n)
@@ -127,55 +123,64 @@ def _sorted_csr(
     np.cumsum(upper + lower, out=indptr[1:])
     indices = np.empty(2 * m, dtype=idx)
     data = np.empty(2 * m)
-
-    su, by_u = _stable_sort(u.copy())
-    sv, at = _stable_sort(v[by_u])
-    by_vu = by_u[at]
-    del by_u
-    su = su[at]
-    del at
-    sw = w[by_vu]
-    del by_vu
-    # lower entry of the j-th edge in (v, u) order: slot j + (upper entries
-    # of the rows before v)
-    _place(indices, data, np.cumsum(upper) - upper, sv, su, sw)
-    su, at = _stable_sort(su)
-    sv = sv[at]
-    sw = sw[at]
-    del at
-    if not (((su[1:] != su[:-1]) | (sv[1:] > sv[:-1])).all() and (su < sv).all()):
-        raise GraphError("edge pairs must be distinct with edge_u < edge_v")
     # upper entry of the j-th edge in (u, v) order: slot j + (lower entries
     # of the rows up to u)
-    _place(indices, data, np.cumsum(lower), su, sv, sw)
+    slot = np.cumsum(lower)[u]
+    slot += np.arange(m)
+    indices[slot] = v
+    data[slot] = w
+    del slot
+    # lower entry of the j-th edge in (v, u) order: slot j + (upper entries
+    # of the rows before v)
+    sv = v.copy()
+    at = _stable_sort(sv)
+    slot = (np.cumsum(upper) - upper)[sv]
+    del sv
+    slot += np.arange(m)
+    indices[slot] = u[at]
+    data[slot] = w[at]
     return data, indices, indptr
 
 
-def _place(indices, data, offset, row, col, w) -> None:
-    """Write the j-th entry ``(row, col, w)`` to slot ``j + offset[row[j]]``."""
-    slot = offset[row]
-    slot += np.arange(len(row))
-    indices[slot] = col
-    data[slot] = w
+def _stable_sort(key: np.ndarray) -> np.ndarray:
+    """Sort the int64 ``key`` in place, stably; returns the permutation
+    that sorts it.
 
-
-def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the int64 ``key`` in place, stably; returns it and the
-    permutation that sorts it.
-
-    Keys lie in ``[0, 2**(64 - bits))``, ``bits`` the width of an index
-    into ``key``. One ``np.sort`` of uint64 words, each a key above its
-    position, is several times faster than a stable argsort, and the keys
-    come out of the words without a gather.
+    Keys must lie in ``[0, 2**(64 - bits))``, ``bits`` the width of an
+    index into ``key``. One ``np.sort`` of uint64 words, each a key above
+    its position, is several times faster than a stable argsort, and the
+    keys come out of the words without a gather.
     """
     bits = np.uint64(max(1, (len(key) - 1).bit_length()))
+    if len(key) and int(key.max()).bit_length() + int(bits) > 64:
+        raise GraphError("graph too large to index")
     packed = key.view(np.uint64)
     packed <<= bits
     packed |= np.arange(len(key), dtype=np.uint64)
     packed.sort()
     pos = (packed & ((np.uint64(1) << bits) - np.uint64(1))).view(np.int64)
     packed >>= bits
-    return key, pos
+    return pos
+
+
+def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the pairs ``(u, v)`` strictly increase and each has ``u < v``."""
+    ahead = u[1:] > u[:-1]
+    ahead |= (u[1:] == u[:-1]) & (v[1:] > v[:-1])
+    return bool(ahead.all() and (u < v).all())
+
+
+def _sort_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> None:
+    """Put the rows ``(lo, hi, w)`` in ``(lo, hi)`` order, in place, equal
+    pairs in row order: a stable sort by ``hi``, then one by ``lo``. At most
+    two arrays beyond the columns exist at once."""
+    at = _stable_sort(hi)
+    lo[:] = lo[at]
+    w[:] = w[at]
+    del at
+    at = _stable_sort(lo)
+    hi[:] = hi[at]
+    w[:] = w[at]
 
 
 def _components(g: SignedGraph) -> tuple[int, np.ndarray]:
@@ -299,9 +304,11 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     Nodes are numbered in order of first appearance (row by row, ``u``
     before ``v``). Duplicate undirected pairs are merged by summing their
     weights in row order; a pair whose merged weight is exactly zero is
-    dropped. Surviving pairs keep the order of their first row. Self-loops
-    and zero or non-finite input weights are rejected, reporting the first
-    offending row.
+    dropped. The surviving pairs come out in ``(u, v)`` order, the order
+    :func:`~signedpolar.io.write_edge_list` writes them in. Self-loops and
+    zero or non-finite input weights are rejected, reporting the first
+    offending row. The build makes three sorts of the rows: two in the merge
+    and one for the adjacency's lower triangle.
     """
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
@@ -313,10 +320,11 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
 
 
 def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`build_graph` up to the constructor: labels and merged edges."""
+    """:func:`build_graph` up to the constructor: labels and merged edges,
+    each pair's rows summed in row order, in ``(lo, hi)`` order."""
     u = np.asarray(edges.u, dtype=np.int64)
     v = np.asarray(edges.v, dtype=np.int64)
-    w = np.asarray(edges.w, dtype=np.float64)
+    w = np.array(edges.w, dtype=np.float64)  # sorted in place below
     m = len(w)
     if u.shape != (m,) or v.shape != (m,):
         raise GraphError("edge columns u, v, w differ in length")
@@ -349,58 +357,25 @@ def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndar
     if len(set(labels)) < n:
         raise GraphError("edge list labels are not distinct")
 
-    # One key lo * n + hi per row; it is all that is kept of u and v.
+    # Equal pairs end up adjacent, in row order, and the sums in (lo, hi) order.
     u = new_id[u]
     v = new_id[v]
-    key = np.minimum(u, v).view(np.uint64)
-    key *= np.uint64(n)
-    np.maximum(u, v, out=u)
-    key += u.view(np.uint64)
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v, out=u)
     del u, v
-    order, skey = group_order(key)
-    start = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
-    del skey
-    total = _sum_runs(w[order], start)
-    # Each pair's sum sits on its first row, so the rows that hold a nonzero
-    # sum, in increasing order, are the surviving pairs in first-appearance order.
-    merged = np.zeros(m)
-    merged[order[start]] = total
-    del order, start, total
-    rows = np.flatnonzero(merged)
-    if not rows.size:
+    _sort_pairs(lo, hi, w)
+    differs = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    start = np.flatnonzero(np.concatenate(([True], differs)))
+    total = _sum_runs(w, start)
+    del w
+    kept = total != 0
+    if not kept.any():
         raise GraphError("all edges cancelled during merging")
-    hi = key[rows].view(np.int64)
-    del key
-    lo = hi // n
-    hi -= lo * n
-    return labels, lo, hi, merged[rows]
-
-
-def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A permutation that brings equal keys together, each run in index
-    order, and the keys in that order.
-
-    It groups like ``np.argsort(key, kind="stable")``, but the runs come in
-    hash order, not key order. One ``np.sort`` of uint64 words, each a hash
-    of a key above its index, is several times faster than an argsort. If
-    two different keys share a hash, the stable argsort is used instead.
-    """
-    key = np.asarray(key).astype(np.uint64, copy=False)
-    bits = np.uint64(max(1, (len(key) - 1).bit_length()))
-    low = (np.uint64(1) << bits) - np.uint64(1)
-    packed = key * _HASH_MULT
-    packed &= ~low
-    packed |= np.arange(len(key), dtype=np.uint64)
-    packed.sort()
-    order = (packed & low).view(np.int64)
-    packed >>= bits
-    same_hash = packed[1:] == packed[:-1]
-    del packed
-    skey = key[order]
-    if (same_hash & (skey[1:] != skey[:-1])).any():
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-    return order, skey
+    total = total[kept]
+    start = start[kept]
+    lo = lo[start]
+    hi = hi[start]
+    return labels, lo, hi, total
 
 
 def _sum_runs(x: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -414,10 +389,10 @@ def _sum_runs(x: np.ndarray, start: np.ndarray) -> np.ndarray:
     runs are then summed one by one with ``np.add.accumulate``, which also
     adds left to right.
     """
-    total = x[start]
     size = np.diff(start, append=len(x))
     run = np.flatnonzero(size > 1)
     size = size[run]
+    total = x[start]
     k = 1
     while run.size >= _FEW_RUNS:
         total[run] += x[start[run] + k]

@@ -136,8 +136,10 @@ def sample_seed_pairs(
     """
     if t < 0:
         raise ValueError("threshold t must be nonnegative")
-    neg = g.edge_w < 0
-    ok = neg & (g.pos_degrees[g.edge_u] >= t) & (g.pos_degrees[g.edge_v] >= t)
+    posw = np.maximum(g.edge_w, 0.0)  # positive degrees, summed like g.degrees
+    pos = np.bincount(g.edge_u, posw, minlength=g.node_count)
+    np.add.at(pos, g.edge_v, posw)
+    ok = (g.edge_w < 0) & (pos[g.edge_u] >= t) & (pos[g.edge_v] >= t)
     idx = np.flatnonzero(ok)
     if len(idx) == 0:
         raise GraphError(

@@ -35,7 +35,7 @@ from .graph import (
 from .io import IngestError
 from .spectral import (
     DEFAULT_CG_TOL,
-    DEFAULT_EIG_TOL,
+    SHIFT_GUARD,
     SolverError,
     shift_lower_bound,
     smallest_eigenpair,
@@ -166,8 +166,9 @@ def naive_build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGrap
 
 
 def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for ``SignedGraph.degrees`` and ``pos_degrees``: ``np.add.at``
-    over ``edge_u``, then over ``edge_v``."""
+    """Reference for ``SignedGraph.degrees`` and the positive degrees of
+    ``harness.sample_seed_pairs``: ``np.add.at`` over ``edge_u``, then over
+    ``edge_v``."""
     absw = np.abs(g.edge_w)
     posw = np.where(g.edge_w > 0, g.edge_w, 0.0)
     deg = np.zeros(g.node_count)
@@ -230,16 +231,14 @@ def bisect_shift(
     kappa: float,
     eps: float = 1e-3,
     cg_tol: float = DEFAULT_CG_TOL,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> tuple[float, float, np.ndarray]:
     """Reference for the shift that ``solve_seeded`` finds when the
     constraint is active: bisection on [min(alpha_lo(kappa), hi), hi],
-    hi = lambda1 - delta, with one cold CG solve per step, until the
+    hi = lambda1 - SHIFT_GUARD, with one cold CG solve per step, until the
     correlation lies within ``eps`` of ``kappa``. Relies on c(alpha) being
     non-increasing. Returns (alpha, correlation, x).
     """
-    lam1 = smallest_eigenpair(g, tol=eig_tol).lambda1
-    hi = lam1 - max(10.0 * eig_tol, 1e-12)
+    hi = smallest_eigenpair(g).lambda1 - SHIFT_GUARD
     lo = min(shift_lower_bound(kappa), hi)
     while hi - lo > 1e-15 * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)

@@ -11,8 +11,8 @@ on their eigenvectors, its correlation x'Ds is the secular function
     c(alpha) = s1 / sqrt(s2),    s_j = sum_i w_i / (theta_i - alpha)^j,
 
 which decreases in alpha. The solver finds the root of c(alpha) = kappa on
-[alpha_lo(kappa), lambda1 - delta]: the spectrum lies in [0, 2], so by the
-Kantorovich inequality c(alpha) >= 2*sqrt(r) / (1 + r) with
+[alpha_lo(kappa), lambda1 - SHIFT_GUARD]: the spectrum lies in [0, 2], so
+by the Kantorovich inequality c(alpha) >= 2*sqrt(r) / (1 + r) with
 r = (2 - alpha) / (-alpha), for every graph and seed, and
 ``shift_lower_bound`` solves that bound for kappa. Up to DENSE_EIG_LIMIT
 nodes the pairs come from the full eigendecomposition that
@@ -40,7 +40,9 @@ from .graph import SignedGraph, SeedVector, GraphError
 # eigendecomposition; above it a matrix-free Lanczos iteration is used.
 DENSE_EIG_LIMIT = 512
 
-DEFAULT_EIG_TOL = 1e-8
+# smallest_eigenpair's residual tolerance; SHIFT_GUARD absorbs its error
+EIG_TOL = 1e-8
+SHIFT_GUARD = 10.0 * EIG_TOL
 DEFAULT_CG_TOL = 1e-8
 
 # Float resolution of a correlation c <= 1: the secular root stops there,
@@ -118,22 +120,19 @@ def normalized_laplacian_apply(g: SignedGraph, y: np.ndarray) -> np.ndarray:
     return laplacian_apply(g, y / rootd) / rootd
 
 
-def smallest_eigenpair(g: SignedGraph, tol: float = DEFAULT_EIG_TOL) -> EigenPair:
+def smallest_eigenpair(g: SignedGraph) -> EigenPair:
     """Smallest eigenpair of the normalized signed Laplacian.
 
     The eigenvalue lies in [0, 2] and is zero exactly when the graph is
-    perfectly balanced. Results are cached on the graph per tolerance. On
+    perfectly balanced. The result is cached on the graph. On
     graphs of up to DENSE_EIG_LIMIT nodes the pair also keeps the full
     eigendecomposition it was read from.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not g.is_connected():
         raise GraphError("eigensolver requires a connected graph")
     # benign race under concurrent readers: worst case is a duplicate solve
-    key = ("eig", tol)
-    if key in g._cache:
-        return g._cache[key]
+    if "eig" in g._cache:
+        return g._cache["eig"]
 
     n = g.node_count
     rootd = np.sqrt(g.degrees)
@@ -154,7 +153,7 @@ def smallest_eigenpair(g: SignedGraph, tol: float = DEFAULT_EIG_TOL) -> EigenPai
         v0 = np.random.default_rng(0).standard_normal(n)
         maxiter = max(1000, int(50 * np.sqrt(n)))
         try:
-            vals, vecs = spla.eigsh(op, k=1, which="LA", tol=tol / 4,
+            vals, vecs = spla.eigsh(op, k=1, which="LA", tol=EIG_TOL / 4,
                                     v0=v0, maxiter=maxiter)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError("eigensolver did not converge", np.inf) from exc
@@ -163,10 +162,10 @@ def smallest_eigenpair(g: SignedGraph, tol: float = DEFAULT_EIG_TOL) -> EigenPai
 
     y = y / np.linalg.norm(y)
     resid = float(np.linalg.norm(normalized_laplacian_apply(g, y) - lam * y))
-    if n > DENSE_EIG_LIMIT and resid > tol:
+    if n > DENSE_EIG_LIMIT and resid > EIG_TOL:
         raise ConvergenceError("eigen-residual above tolerance", resid)
     pair = EigenPair(lambda1=lam, v1=y / rootd, residual=resid, spectrum=spectrum)
-    g._cache[key] = pair
+    g._cache["eig"] = pair
     return pair
 
 
@@ -347,14 +346,13 @@ def solve_seeded(
     kappa: float,
     eps: float = 1e-3,
     cg_tol: float = DEFAULT_CG_TOL,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> SpectralSolution:
     """Minimize x'Lx over x'Dx = 1 subject to seed correlation x'Ds >= kappa.
 
     When the bottom eigenvector already satisfies the correlation bound the
     constraint is inactive and the eigenvector is returned (its objective,
     the smallest eigenvalue, is the unconstrained minimum), and so is the
-    solve at lambda1 - delta when c stays above ``kappa`` up to there.
+    solve at lambda1 - SHIFT_GUARD when c stays above ``kappa`` up to there.
     Otherwise one CG solve at the secular root (see the module docstring)
     produces x, and a ``SolverError`` is raised unless its correlation lies
     within ``eps`` of ``kappa``, which fails only for an ``eps`` finer than
@@ -368,7 +366,7 @@ def solve_seeded(
         raise GraphError("solver requires a connected graph")
 
     warnings: list[str] = []
-    eig = smallest_eigenpair(g, tol=eig_tol)
+    eig = smallest_eigenpair(g)
     lam1 = eig.lambda1
     ds = g.degrees * s.values
     v1 = eig.v1
@@ -387,9 +385,7 @@ def solve_seeded(
     if not active:
         x, alpha, c, objective, iters, steps = v1, lam1, c_limit, lam1, 0, 0
     else:
-        # The guard below lambda1 absorbs the eigenvalue error of the estimate,
-        # which does not grow with graph size, so it is not volume-scaled.
-        hi = lam1 - max(10.0 * eig_tol, 1e-12)
+        hi = lam1 - SHIFT_GUARD
         lo = min(shift_lower_bound(kappa), hi)
         b = np.sqrt(g.degrees) * s.values
         if eig.spectrum is None:

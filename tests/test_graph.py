@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -84,6 +86,96 @@ class TestConstructor:
         assert adj.indices.dtype == np.int32 and adj.has_sorted_indices
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+
+
+def _pair_set(seed, n, m, weighted):
+    """``m`` distinct pairs ``u < v`` on ``n`` nodes in random order, with
+    weights ±1 or of random magnitude."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    pick = rng.choice(len(iu), size=min(m, len(iu)), replace=False)
+    sign = np.where(rng.random(len(pick)) < 0.5, -1.0, 1.0)
+    mag = rng.uniform(0.1, 10.0, len(pick)) if weighted else 1.0
+    return iu[pick], iv[pick], sign * mag
+
+
+def _assert_same_arrays(g, h):
+    for name in ("edge_u", "edge_v", "edge_w", "degrees"):
+        assert np.array_equal(getattr(g, name), getattr(h, name)), name
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(g.adjacency, name), getattr(h.adjacency, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+_pair_sets = dict(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+                  m=st.integers(1, 200), weighted=st.booleans())
+
+
+class TestEdgeOrder:
+    @given(**_pair_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_any_permutation_gives_the_same_graph(self, seed, n, m, weighted):
+        u, v, w = _pair_set(seed, n, m, weighted)
+        labels = [f"n{i}" for i in range(n)]
+        g = SignedGraph(labels, u, v, w)
+        perm = np.random.default_rng(seed + 1).permutation(len(w))
+        _assert_same_arrays(g, SignedGraph(labels, u[perm], v[perm], w[perm]))
+        order = np.lexsort((v, u))
+        _assert_same_arrays(g, SignedGraph(labels, u[order], v[order], w[order]))
+
+    @given(**_pair_sets)
+    @settings(max_examples=60, deadline=None)
+    def test_edges_are_the_upper_triangle_in_csr_order(self, seed, n, m, weighted):
+        u, v, w = _pair_set(seed, n, m, weighted)
+        g = SignedGraph([f"n{i}" for i in range(n)], u, v, w)
+        adj = g.adjacency
+        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+        upper = adj.indices > rows
+        assert np.array_equal(g.edge_u, rows[upper])
+        assert np.array_equal(g.edge_v, adj.indices[upper])
+        assert np.array_equal(g.edge_w, adj.data[upper])
+
+    @given(seed=st.integers(0, 10_000), pool=st.integers(1, 30), rows=st.integers(1, 300),
+           weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_rows_match_the_dict_reference(self, seed, pool, rows, weighted):
+        # rows repeat pairs from a small pool, in both directions
+        u, v, _ = _pair_set(seed, 12, pool, False)
+        rng = np.random.default_rng(seed + 1)
+        pick = rng.integers(0, len(u), rows)
+        flip = rng.random(rows) < 0.5
+        a = np.where(flip, v[pick], u[pick])
+        b = np.where(flip, u[pick], v[pick])
+        sign = np.where(rng.random(rows) < 0.5, -1.0, 1.0)
+        w = sign * (10.0 ** rng.uniform(-8, 8, rows) if weighted else 1.0)
+        edges = [(f"n{x}", f"n{y}", z) for x, y, z in zip(a.tolist(), b.tolist(), w.tolist())]
+        try:
+            ref = naive_build_graph(edges)
+        except GraphError as exc:
+            with pytest.raises(GraphError, match=re.escape(str(exc))):
+                build_graph(edges)
+        else:
+            assert_same_graph(build_graph(edges), ref)
+
+    @given(**_pair_sets, fault=st.sampled_from(["repeat", "swap", "loop"]))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_or_unordered_pairs_raise(self, seed, n, m, weighted, fault):
+        u, v, w = _pair_set(seed, n, m, weighted)
+        i = np.random.default_rng(seed + 1).integers(0, len(w))
+        if fault == "repeat":
+            u, v, w = np.append(u, u[i]), np.append(v, v[i]), np.append(w, w[i])
+        elif fault == "swap":
+            u[i], v[i] = v[i], u[i]
+        else:
+            v[i] = u[i]
+        with pytest.raises(GraphError, match="distinct with edge_u < edge_v"):
+            SignedGraph([f"n{i}" for i in range(n)], u, v, w)
+
+    def test_keys_too_wide_to_pack_beside_positions_raise(self):
+        # 3 positions take 2 bits, so a 63-bit key leaves no room
+        with pytest.raises(GraphError, match="too large to index"):
+            graph_mod._stable_sort(np.array([0, 2**62, 1]))
+        assert graph_mod._stable_sort(np.array([2**61, 0, 2**61])).tolist() == [1, 0, 2]
 
 
 def _random_split(g, rng):

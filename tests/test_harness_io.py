@@ -1,15 +1,20 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedpolar import (
     GraphError,
     IngestError,
+    SignedGraph,
     community,
     filter_overlaps,
     ingest,
     naive_sweep,
     query,
+    random_signed_graph,
     read_edge_list,
     read_ground_truth,
     sample_seed_pairs,
@@ -19,6 +24,7 @@ from signedpolar import (
     write_ground_truth,
 )
 from signedpolar.harness import ExperimentConfig, experiment_csv, run_experiment
+from signedpolar.oracle import naive_degrees
 from signedpolar.synth import GroundTruth, SynthParams, generate
 
 
@@ -76,6 +82,31 @@ class TestIngest:
         write_edge_list(path, t3)
         g = ingest(path)
         assert g.node_count == 3 and g.total_volume == 6.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_roundtrip_keeps_labelled_pairs_and_weights(self, tmp_path, seed):
+        # quarter-integer weights print exactly in write_edge_list's format
+        rng = np.random.default_rng(seed)
+        base = random_signed_graph(60, 200, rng_seed=seed)
+        w = base.edge_w * rng.integers(1, 40, base.edge_count) / 4
+        g = SignedGraph(base.labels, base.edge_u, base.edge_v, w)
+        path = tmp_path / "rt.edges"
+        write_edge_list(path, g)
+        rows = read_edge_list(path)
+        # the file lists the edges in (u, v) order, which numbers a re-read
+        # graph's nodes
+        assert [(rows.labels[a], rows.labels[b]) for a, b in zip(rows.u, rows.v)] == [
+            (g.labels[a], g.labels[b]) for a, b in zip(g.edge_u, g.edge_v)
+        ]
+        h = ingest(path)
+
+        def labelled(x):
+            return {
+                frozenset((x.labels[a], x.labels[b])): c
+                for a, b, c in zip(x.edge_u.tolist(), x.edge_v.tolist(), x.edge_w.tolist())
+            }
+
+        assert labelled(h) == labelled(g)
 
 
 class TestGroundTruthIO:
@@ -158,6 +189,23 @@ class TestSeedSampling:
     def test_threshold_filters(self, t3):
         with pytest.raises(GraphError):
             sample_seed_pairs(t3, t=5.0, count=1)
+
+    @given(seed=st.integers(0, 10_000), weighted=st.booleans(), q=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_qualifies_negative_edges_by_reference_positive_degree(self, seed, weighted, q):
+        g = random_signed_graph(30, 90, rng_seed=seed, weighted=weighted)
+        _, pos = naive_degrees(g)
+        t = float(np.quantile(pos, q))
+        expected = {
+            (g.labels[a], g.labels[b])
+            for a, b, w in zip(g.edge_u, g.edge_v, g.edge_w)
+            if w < 0 and pos[a] >= t and pos[b] >= t
+        }
+        if not expected:
+            with pytest.raises(GraphError, match="lower the threshold"):
+                sample_seed_pairs(g, t=t, count=g.edge_count)
+        else:
+            assert set(sample_seed_pairs(g, t=t, count=g.edge_count)) == expected
 
 
 class TestFilterOverlaps:

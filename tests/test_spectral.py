@@ -29,7 +29,7 @@ from signedpolar import (
 )
 from signedpolar import spectral
 from signedpolar.graph import SeedVector
-from signedpolar.spectral import DEFAULT_EIG_TOL, shift_lower_bound
+from signedpolar.spectral import SHIFT_GUARD, shift_lower_bound
 from signedpolar.synth import SynthParams
 from conftest import dense_normalized_laplacian, make_random_graph
 
@@ -144,8 +144,9 @@ class TestSolveShifted:
         assert exc.value.residual > 0
 
     def test_unreachable_tolerance_raises_with_residual(self):
-        # the recursive residual underflows long before 1e-300 * |b|
-        g = make_random_graph(30, 60, seed=1, weighted=True)
+        # the recursive residual underflows long before 1e-300 * |b| (on some
+        # inputs CG instead ends at an exactly zero residual)
+        g = make_random_graph(30, 60, seed=2, weighted=True)
         s = seed_vector(g, {0}, {1})
         with pytest.raises(ConvergenceError, match="underflowed") as exc:
             solve_seeded(g, s, kappa=0.9, cg_tol=1e-300)
@@ -247,7 +248,7 @@ def solve_on(g, s, kappa, source=None, lanczos_eps=None, **kwargs):
         mp.setattr(spectral, "solve_shifted", counting)
         if source == "lanczos":
             mp.setattr(spectral, "smallest_eigenpair",
-                       lambda g, tol: replace(eig(g, tol), spectrum=None))
+                       lambda g: replace(eig(g), spectrum=None))
         if lanczos_eps is not None:
             mp.setattr(spectral, "lanczos_root",
                        lambda *args: root(*args[:-1], lanczos_eps))
@@ -297,7 +298,7 @@ class TestSolverWarnings:
         # bracket starts collapsed at the guard.
         s = seed_vector(positive_cycle, {0}, {2})
         lam1 = smallest_eigenpair(positive_cycle).lambda1
-        assert shift_lower_bound(1e-4) > lam1 - 10 * DEFAULT_EIG_TOL
+        assert shift_lower_bound(1e-4) > lam1 - SHIFT_GUARD
         sol, calls = solve_on(positive_cycle, s, 1e-4)
         assert not sol.constraint_active
         assert len(calls) == 1
@@ -370,7 +371,7 @@ class TestShiftLowerBound:
         # on (nearly) balanced graphs with kappa below about 4.5e-4, alpha_lo
         # lies inside the guard band below lambda1 and the bracket starts there
         sol = solve_seeded(g, s, kappa=kappa)
-        assert sol.alpha >= min(alpha_lo, sol.lambda1 - 10 * DEFAULT_EIG_TOL)
+        assert sol.alpha >= min(alpha_lo, sol.lambda1 - SHIFT_GUARD)
 
 
 SOURCES = ("dense", "lanczos")
@@ -451,7 +452,7 @@ class TestSecularSources:
         eig = smallest_eigenpair(t3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "smallest_eigenpair",
-                       lambda g, tol: replace(eig, lambda1=0.9, spectrum=None))
+                       lambda g: replace(eig, lambda1=0.9, spectrum=None))
             with pytest.raises(SolverError, match="Ritz value"):
                 solve_seeded(t3, seed_vector(t3, {0}, {2}), kappa=0.9)
 
