@@ -10,13 +10,10 @@ from .graph import (
     GraphError,
     SeedVector,
     SignedGraph,
-    beta,
     build_graph,
     community,
     edge_counts,
-    indicator_vector,
     largest_component,
-    rayleigh_quotient,
     seed_vector,
 )
 from .harness import (
@@ -36,11 +33,15 @@ from .oracle import (
     KktReport,
     OracleError,
     RelaxationReport,
+    beta,
     bisect_shift,
     brute_force_cheeger,
     correlation_at,
     grid_search_minimum,
+    indicator_vector,
     kkt_check,
+    naive_sweep,
+    rayleigh_quotient,
     verify_approximation,
     verify_relaxation,
 )
@@ -55,7 +56,7 @@ from .spectral import (
     solve_seeded,
     solve_shifted,
 )
-from .sweep import SweepError, SweepTable, build_sweep_table, fast_sweep, naive_sweep
+from .sweep import SweepError, SweepTable, build_sweep_table, fast_sweep
 from .synth import (
     GroundTruth,
     SynthError,

@@ -1,5 +1,5 @@
 """Signed-graph core: sparse storage, degree/volume accounting, edge-class
-counts, the polarization ratio, Rayleigh quotients, and seed vectors.
+counts, the polarization ratio, and seed vectors.
 
 Every edge "count" here is a sum of absolute weights, so weighted graphs are
 supported throughout; an unweighted graph is the all-weights-one special case.
@@ -20,6 +20,8 @@ Label = Hashable
 SEED_NORM_TOL = 1e-10
 # Below this many unfinished runs, _sum_runs sums each run on its own.
 _FEW_RUNS = 64
+# Rows per block when _stable_sort gathers a column.
+_GATHER_BLOCK = 1 << 12
 
 
 class GraphError(ValueError):
@@ -35,10 +37,11 @@ class SignedGraph:
     input pairs by summing weights to get there) and raises
     :class:`GraphError` otherwise. The edges are kept in ``(u, v)`` order;
     pairs given in another order are sorted into it. ``adjacency`` is the
-    symmetric CSR matrix with int32 indices (int64 past their range),
-    columns sorted in each row, so ``edge_u/edge_v/edge_w`` are its upper
-    triangle in CSR order; it is laid out directly from the pairs, without
-    a COO stage.
+    strictly upper-triangular CSR matrix ``U`` of the edges, so the
+    adjacency matrix is ``U + U.T``: row ``u`` holds the edges ``(u, v)``
+    in ``v`` order, its ``data`` is ``edge_w`` itself and its ``indices``
+    are ``edge_v`` as int32 (int64 past their range). The edges are stored
+    once.
 
     Instances are never mutated after construction and are safe to share
     across threads.
@@ -70,9 +73,14 @@ class SignedGraph:
             if not _in_pair_order(u, v):
                 raise GraphError("edge pairs must be distinct with edge_u < edge_v")
         self.edge_u, self.edge_v, self.edge_w = u, v, w
-        self.adjacency = sp.csr_matrix(_sorted_csr(u, v, w, n), shape=(n, n))
+        idx = np.int32 if max(n, len(w)) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+        self.adjacency = sp.csr_matrix((w, v.astype(idx, copy=False), indptr), shape=(n, n))
         # bincount adds in index order and add.at goes on from there: all
-        # edge_u terms before the edge_v ones
+        # edge_u terms before the edge_v ones. edge_counts sums a node's
+        # internal weights in this same order, so the two summation orders
+        # must match.
         absw = np.abs(w)
         self.degrees = np.bincount(u, absw, minlength=n)
         np.add.at(self.degrees, v, absw)
@@ -89,9 +97,6 @@ class SignedGraph:
         except KeyError:
             raise GraphError(f"unknown node label: {label!r}") from None
 
-    def volume(self, nodes: Iterable[int]) -> float:
-        return float(self.degrees[_node_indices(self, nodes)].sum())
-
     def is_connected(self) -> bool:
         if "connected" not in self._cache:
             if self.node_count == 0:
@@ -101,55 +106,16 @@ class SignedGraph:
         return self._cache["connected"]
 
 
-def _sorted_csr(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(data, indices, indptr)`` of the symmetric matrix with entries
-    ``(u, v, w)`` and ``(v, u, w)``, columns sorted within each row, from
-    distinct pairs in ``(u, v)`` order with ``u < v``.
-
-    Row ``r`` holds its lower entries (edges with ``v == r``, columns ``u``)
-    before its upper ones (``u == r``, columns ``v``). In ``(u, v)`` order
-    each row's upper entries are consecutive and in column order, and so are
-    its lower entries in ``(v, u)`` order, which one stable sort by ``v``
-    gives. Each entry's slot is its rank in its order plus a per-row offset;
-    a column is gathered into the sorted order only as it is placed.
-    """
-    m = len(w)
-    idx = np.int32 if max(n, 2 * m) <= np.iinfo(np.int32).max else np.int64
-    upper = np.bincount(u, minlength=n)
-    lower = np.bincount(v, minlength=n)
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(upper + lower, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=idx)
-    data = np.empty(2 * m)
-    # upper entry of the j-th edge in (u, v) order: slot j + (lower entries
-    # of the rows up to u)
-    slot = np.cumsum(lower)[u]
-    slot += np.arange(m)
-    indices[slot] = v
-    data[slot] = w
-    del slot
-    # lower entry of the j-th edge in (v, u) order: slot j + (upper entries
-    # of the rows before v)
-    sv = v.copy()
-    at = _stable_sort(sv)
-    slot = (np.cumsum(upper) - upper)[sv]
-    del sv
-    slot += np.arange(m)
-    indices[slot] = u[at]
-    data[slot] = w[at]
-    return data, indices, indptr
-
-
-def _stable_sort(key: np.ndarray) -> np.ndarray:
-    """Sort the int64 ``key`` in place, stably; returns the permutation
-    that sorts it.
+def _stable_sort(key: np.ndarray, *cols: np.ndarray) -> None:
+    """Sort the int64 ``key`` in place, stably, and each of the 8-byte
+    columns ``cols`` the same way.
 
     Keys must lie in ``[0, 2**(64 - bits))``, ``bits`` the width of an
     index into ``key``. One ``np.sort`` of uint64 words, each a key above
     its position, is several times faster than a stable argsort, and the
-    keys come out of the words without a gather.
+    keys come out of the words without a gather. The columns are gathered
+    a block at a time, by the positions in the words' low bits, into one
+    spare array, so the permutation is never stored whole.
     """
     bits = np.uint64(max(1, (len(key) - 1).bit_length()))
     if len(key) and int(key.max()).bit_length() + int(bits) > 64:
@@ -158,9 +124,14 @@ def _stable_sort(key: np.ndarray) -> np.ndarray:
     packed <<= bits
     packed |= np.arange(len(key), dtype=np.uint64)
     packed.sort()
-    pos = (packed & ((np.uint64(1) << bits) - np.uint64(1))).view(np.int64)
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    spare = np.empty(len(key) if cols else 0, dtype=np.int64)
+    for col in cols:
+        out = spare.view(col.dtype)
+        for a in range(0, len(key), _GATHER_BLOCK):
+            out[a : a + _GATHER_BLOCK] = col[(packed[a : a + _GATHER_BLOCK] & low).view(np.int64)]
+        col[:] = out
     packed >>= bits
-    return pos
 
 
 def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
@@ -172,24 +143,15 @@ def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
 
 def _sort_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> None:
     """Put the rows ``(lo, hi, w)`` in ``(lo, hi)`` order, in place, equal
-    pairs in row order: a stable sort by ``hi``, then one by ``lo``. At most
-    two arrays beyond the columns exist at once."""
-    at = _stable_sort(hi)
-    lo[:] = lo[at]
-    w[:] = w[at]
-    del at
-    at = _stable_sort(lo)
-    hi[:] = hi[at]
-    w[:] = w[at]
+    pairs in row order: a stable sort by ``hi``, then one by ``lo``."""
+    _stable_sort(hi, lo, w)
+    _stable_sort(lo, hi, w)
 
 
 def _components(g: SignedGraph) -> tuple[int, np.ndarray]:
-    """Number of connected components and each node's component.
-
-    The adjacency is symmetric, so its strong components are the connected
-    components, and the directed search needs no transposed copy of it.
-    """
-    return connected_components(g.adjacency, directed=True, connection="strong")
+    """Number of connected components and each node's component, from an
+    undirected search over the upper triangle."""
+    return connected_components(g.adjacency, directed=False)
 
 
 def _node_indices(g: SignedGraph, nodes: Iterable[int]) -> np.ndarray:
@@ -307,24 +269,24 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     dropped. The surviving pairs come out in ``(u, v)`` order, the order
     :func:`~signedpolar.io.write_edge_list` writes them in. Self-loops and
     zero or non-finite input weights are rejected, reporting the first
-    offending row. The build makes three sorts of the rows: two in the merge
-    and one for the adjacency's lower triangle.
+    offending row. The build makes two sorts of the rows, both in the merge.
     """
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
-    # The merge's temporaries, and the edge list unless the caller keeps it,
-    # are freed before the graph's arrays are built.
-    merged = _merge_edges(edges)
+    labels, lo, hi, w = _renumber(edges)
+    # The edge list, unless the caller keeps it, is freed before the merge
+    # sorts the rows, and the unmerged rows before the graph's arrays are built.
     del edges
-    return SignedGraph(*merged)
+    lo, hi, w = _merge_pairs(lo, hi, w)
+    return SignedGraph(labels, lo, hi, w)
 
 
-def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`build_graph` up to the constructor: labels and merged edges,
-    each pair's rows summed in row order, in ``(lo, hi)`` order."""
+def _renumber(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Check the edge list and number its used labels by first appearance;
+    returns the labels and the rows as new ``(lo, hi, w)`` columns."""
     u = np.asarray(edges.u, dtype=np.int64)
     v = np.asarray(edges.v, dtype=np.int64)
-    w = np.array(edges.w, dtype=np.float64)  # sorted in place below
+    w = np.asarray(edges.w, dtype=np.float64)
     m = len(w)
     if u.shape != (m,) or v.shape != (m,):
         raise GraphError("edge columns u, v, w differ in length")
@@ -357,42 +319,53 @@ def _merge_edges(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndar
     if len(set(labels)) < n:
         raise GraphError("edge list labels are not distinct")
 
-    # Equal pairs end up adjacent, in row order, and the sums in (lo, hi) order.
     u = new_id[u]
     v = new_id[v]
     lo = np.minimum(u, v)
     hi = np.maximum(u, v, out=u)
     del u, v
+    return labels, lo, hi, w.copy()  # the merge sorts w in place
+
+
+def _merge_pairs(
+    lo: np.ndarray, hi: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the rows ``(lo, hi, w)``, sorted in place, into pairs in
+    ``(lo, hi)`` order, each summed in row order; zero sums are dropped."""
     _sort_pairs(lo, hi, w)
-    differs = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    start = np.flatnonzero(np.concatenate(([True], differs)))
-    total = _sum_runs(w, start)
-    del w
-    kept = total != 0
-    if not kept.any():
+    head = np.empty(len(w), dtype=bool)  # the first row of each pair
+    head[0] = True
+    np.not_equal(lo[1:], lo[:-1], out=head[1:])
+    head[1:] |= hi[1:] != hi[:-1]
+    _sum_runs(w, head)
+    head &= w != 0
+    if not head.any():
         raise GraphError("all edges cancelled during merging")
-    total = total[kept]
-    start = start[kept]
-    lo = lo[start]
-    hi = hi[start]
-    return labels, lo, hi, total
+    return lo[head], hi[head], w[head]
 
 
-def _sum_runs(x: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Sum each run ``x[start[i] : start[i + 1]]`` (the last one up to the
-    end of ``x``) left to right, the way a running ``+=`` does.
+def _sum_runs(x: np.ndarray, head: np.ndarray) -> None:
+    """Sum each run of ``x`` from a row where ``head`` is set up to the next
+    such row, left to right the way a running ``+=`` does, into the run's
+    first element.
 
     ``np.add.reduceat`` is not used: it adds a run's tail pairwise, so a run
     of three or more terms can differ from the running sum in the last bit.
-    While many runs are open, one vectorized step adds the next term of
-    each, so there are at most ``len(x) / _FEW_RUNS`` steps. The few longest
-    runs are then summed one by one with ``np.add.accumulate``, which also
-    adds left to right.
+    Only runs of two or more rows are touched, so no array of the rows' size
+    is made beyond two masks. While many runs are open, one vectorized step
+    adds the next term of each, so there are at most ``len(x) / _FEW_RUNS``
+    steps. The few longest runs are then summed one by one with
+    ``np.add.accumulate``, which also adds left to right.
     """
-    size = np.diff(start, append=len(x))
-    run = np.flatnonzero(size > 1)
-    size = size[run]
+    tail = ~head[1:]
+    start = np.flatnonzero(head[:-1] & tail)
+    # a run's last row is a tail row followed by a head row or by the end
+    tail[:-1] &= head[2:]
+    size = np.flatnonzero(tail) + 2
+    del tail
+    size -= start
     total = x[start]
+    run = np.arange(len(start))
     k = 1
     while run.size >= _FEW_RUNS:
         total[run] += x[start[run] + k]
@@ -401,7 +374,7 @@ def _sum_runs(x: np.ndarray, start: np.ndarray) -> np.ndarray:
         run, size = run[open_], size[open_]
     for i, a, n in zip(run.tolist(), start[run].tolist(), size.tolist()):
         total[i] = np.add.accumulate(x[a : a + n])[-1]
-    return total
+    x[start] = total
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
@@ -417,13 +390,18 @@ def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
 
 
 def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
-    """Classify every edge incident to ``c1 | c2`` in one pass over the
-    adjacency rows of the union, so the cost is the union's volume.
+    """Classify every edge incident to ``c1 | c2`` from the upper-triangle
+    rows of the union, so the cost is the union's volume.
 
     Each incident edge lands in exactly one field, so the seven fields sum to
     the total absolute weight incident to the union. An edge inside the
-    union is seen from both of its rows and counted at half weight each
-    time; a boundary edge is seen once.
+    union is seen once, from the row of its lower endpoint. A boundary edge
+    may lie in a row outside the union, so the boundary is summed per node:
+    ``max(deg[r] - inner[r], 0)`` over the union, ``inner[r]`` being node
+    ``r``'s internal ``|w|``. ``inner`` is summed in the order
+    :class:`SignedGraph` sums ``degrees`` (its edges as ``u``, then as
+    ``v``), and the two summation orders must match: then a node without an
+    outside neighbour adds exactly 0, and a whole-graph split has boundary 0.
     """
     side = _membership(g, c1, c2)
     rows = np.flatnonzero(side)
@@ -433,28 +411,34 @@ def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     # entry positions of the rows, row after row
     at = np.repeat(begin - (np.cumsum(size) - size), size)
     at += np.arange(len(at))
+    col = adj.indices[at]
+    inside = side[col] != 0
+    at = at[inside]
     w = adj.data[at]
-    # class = [row side is -1][column side + 1][weight > 0]
-    cls = np.repeat(np.int8(6) * (side[rows] < 0), size)
-    cls += 2 * (side[adj.indices[at]] + 1)
+    # each internal entry's row and column as positions in rows
+    place = np.empty(g.node_count, dtype=np.int64)  # read only at rows
+    place[rows] = np.arange(len(rows))
+    k = np.repeat(np.arange(len(rows)), size)[inside]
+    j = place[col[inside]]
+    # class = [row side is -1][column side is -1][weight > 0]
+    neg = (side[rows] < 0).astype(np.int8)
+    cls = neg[k] * np.int8(4)
+    cls += neg[j] * np.int8(2)
     cls += w > 0
     # a class holds weights of one sign, so |sum| is the sum of |w|
-    c = np.abs(np.bincount(cls, w, minlength=12), dtype=np.float64).reshape(2, 3, 2)
-    c[:, (0, 2)] *= 0.5
+    c = np.abs(np.bincount(cls, w, minlength=8)).reshape(2, 2, 2)
+    absw = np.abs(w)
+    inner = np.bincount(k, absw, minlength=len(rows))
+    np.add.at(inner, j, absw)
     return EdgeCounts(
-        pos_across=float(c[0, 0, 1] + c[1, 2, 1]),
-        neg_in_1=float(c[0, 2, 0]),
-        neg_in_2=float(c[1, 0, 0]),
-        boundary=float(c[:, 1].sum()),
-        pos_in_1=float(c[0, 2, 1]),
-        pos_in_2=float(c[1, 0, 1]),
-        neg_across=float(c[0, 0, 0] + c[1, 2, 0]),
+        pos_across=float(c[0, 1, 1] + c[1, 0, 1]),
+        neg_in_1=float(c[0, 0, 0]),
+        neg_in_2=float(c[1, 1, 0]),
+        boundary=float(np.maximum(g.degrees[rows] - inner, 0.0).sum()),
+        pos_in_1=float(c[0, 0, 1]),
+        pos_in_2=float(c[1, 1, 1]),
+        neg_across=float(c[0, 1, 0] + c[1, 0, 0]),
     )
-
-
-def beta(g: SignedGraph, c1, c2) -> float:
-    """Signed bipartiteness ratio of the band pair (lower = more polarized)."""
-    return community(g, c1, c2).beta
 
 
 def community(g: SignedGraph, c1, c2) -> Community:
@@ -474,28 +458,6 @@ def community(g: SignedGraph, c1, c2) -> Community:
         counts=counts,
         volume=vol,
     )
-
-
-def rayleigh_quotient(g: SignedGraph, x: np.ndarray) -> float:
-    """Quadratic-form ratio x'Lx / x'Dx, computed in one edge pass.
-
-    The numerator penalizes disagreement across positive edges and agreement
-    across negative edges:
-    ``sum_pos w (x_u - x_v)^2 + sum_neg |w| (x_u + x_v)^2``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.node_count,):
-        raise GraphError(f"vector length {x.shape} does not match n={g.node_count}")
-    denom = float(g.degrees @ (x * x))
-    if denom == 0.0:
-        raise GraphError("Rayleigh quotient of the zero vector")
-    xu = x[g.edge_u]
-    xv = x[g.edge_v]
-    w = g.edge_w
-    pos = w > 0
-    num = float((w[pos] * (xu[pos] - xv[pos]) ** 2).sum())
-    num += float((-w[~pos] * (xu[~pos] + xv[~pos]) ** 2).sum())
-    return num / denom
 
 
 def seed_vector(g: SignedGraph, s1, s2) -> SeedVector:
@@ -520,11 +482,6 @@ def seed_vector(g: SignedGraph, s1, s2) -> SeedVector:
     norm = float(g.degrees @ (values * values))
     assert abs(norm - 1.0) <= SEED_NORM_TOL
     return SeedVector(values=values, support=tuple(sorted(union)))
-
-
-def indicator_vector(g: SignedGraph, c1, c2) -> np.ndarray:
-    """The +1/-1/0 vector form of a band pair."""
-    return _membership(g, c1, c2).astype(np.float64)
 
 
 def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:

@@ -299,10 +299,12 @@ def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed.sort()
     order = (packed & low).view(np.int64)
     packed >>= bits
-    same_hash = packed[1:] == packed[:-1]
+    hash_changes = np.count_nonzero(packed[1:] != packed[:-1])
     del packed
     skey = key[order]
-    if (same_hash & (skey[1:] != skey[:-1])).any():
+    # equal keys share a hash, so the keys change more often only if two
+    # different keys share a hash
+    if np.count_nonzero(skey[1:] != skey[:-1]) != hash_changes:
         order = np.argsort(key, kind="stable")
         skey = key[order]
     return order, skey

@@ -9,7 +9,8 @@ and first-order optimality residuals of the continuous solution.
 ``naive_read_edge_list``, ``naive_build_graph`` and ``naive_degrees`` are
 the per-line and per-edge references for the columnar ingest in ``io`` and
 ``graph``; ``naive_edge_counts`` is the all-edges reference for the
-row pass of ``graph.edge_counts``; ``bisect_shift`` is the
+row pass of ``graph.edge_counts``; ``naive_sweep`` is the per-threshold
+reference for ``sweep.fast_sweep``; ``bisect_shift`` is the
 one-CG-solve-per-step reference for the secular root in ``spectral``.
 """
 
@@ -29,7 +30,6 @@ from .graph import (
     _membership,
     as_node_set,
     community,
-    rayleigh_quotient,
     seed_vector,
 )
 from .io import IngestError
@@ -42,7 +42,7 @@ from .spectral import (
     solve_seeded,
     solve_shifted,
 )
-from .sweep import fast_sweep
+from .sweep import _check_vector, fast_sweep
 
 BRUTE_FORCE_NODE_LIMIT = 16
 _CHUNK = 1 << 16  # labelings per vectorized block; bounds peak memory
@@ -202,6 +202,79 @@ def naive_edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     )
 
 
+def beta(g: SignedGraph, c1, c2) -> float:
+    """Signed bipartiteness ratio of the band pair (lower = more polarized)."""
+    return community(g, c1, c2).beta
+
+
+def indicator_vector(g: SignedGraph, c1, c2) -> np.ndarray:
+    """The +1/-1/0 vector form of a band pair."""
+    return _membership(g, c1, c2).astype(np.float64)
+
+
+def rayleigh_quotient(g: SignedGraph, x: np.ndarray) -> float:
+    """Quadratic-form ratio x'Lx / x'Dx, computed in one edge pass.
+
+    The numerator penalizes disagreement across positive edges and agreement
+    across negative edges:
+    ``sum_pos w (x_u - x_v)^2 + sum_neg |w| (x_u + x_v)^2``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (g.node_count,):
+        raise GraphError(f"vector length {x.shape} does not match n={g.node_count}")
+    denom = float(g.degrees @ (x * x))
+    if denom == 0.0:
+        raise GraphError("Rayleigh quotient of the zero vector")
+    xu = x[g.edge_u]
+    xv = x[g.edge_v]
+    w = g.edge_w
+    pos = w > 0
+    num = float((w[pos] * (xu[pos] - xv[pos]) ** 2).sum())
+    num += float((-w[~pos] * (xu[~pos] + xv[~pos]) ** 2).sum())
+    return num / denom
+
+
+def naive_sweep(g: SignedGraph, x) -> Community:
+    """Reference for ``sweep.fast_sweep``: evaluate the ratio from scratch
+    at every threshold.
+
+    Runs in O(m) per candidate threshold and shares no intermediate state
+    with the fast path, so it serves as an independent oracle for it.
+    """
+    x = _check_vector(g, x)
+    thresholds = np.unique(np.abs(x[x != 0.0]))[::-1]
+    xu = x[g.edge_u]
+    xv = x[g.edge_v]
+    w = g.edge_w
+    aw = np.abs(w)
+    pos = w > 0
+    deg = g.degrees
+
+    best_beta = np.inf
+    best_t = None
+    for t in thresholds:
+        hi_u = xu >= t
+        hi_v = xv >= t
+        lo_u = xu <= -t
+        lo_v = xv <= -t
+        in_u = hi_u | lo_u
+        in_v = hi_v | lo_v
+        across = (hi_u & lo_v) | (lo_u & hi_v)
+        same1 = hi_u & hi_v
+        same2 = lo_u & lo_v
+        num = 2.0 * float(w[pos & across].sum())
+        num += float(aw[~pos & (same1 | same2)].sum())
+        num += float(aw[in_u != in_v].sum())
+        vol = float(deg[(x >= t) | (x <= -t)].sum())
+        b = num / vol
+        if b <= best_beta:
+            best_beta = b
+            best_t = t
+    c1 = np.flatnonzero(x >= best_t)
+    c2 = np.flatnonzero(x <= -best_t)
+    return community(g, c1, c2)
+
+
 def correlation_at(
     g: SignedGraph,
     alpha: float,
@@ -255,6 +328,7 @@ def bisect_shift(
 def dense_operators(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (A, D, L) for small instances; independent of the sparse paths."""
     a = g.adjacency.toarray()
+    a += a.T
     d = np.diag(g.degrees)
     return a, d, d - a
 

@@ -105,12 +105,16 @@ class SpectralSolution:
 
 
 def laplacian_apply(g: SignedGraph, x: np.ndarray) -> np.ndarray:
-    """Apply L = D - A in one adjacency pass; no matrix beyond the CSR
-    adjacency is ever materialized."""
+    """Apply L = D - A with A = U + U', U the upper-triangle adjacency: one
+    pass over U by rows and one by columns, through its zero-copy CSC
+    transpose, kept on the graph because making it costs more than a small
+    graph's matvec; no other matrix is ever materialized."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.node_count,):
         raise GraphError(f"vector length {x.shape} does not match n={g.node_count}")
-    return g.degrees * x - g.adjacency @ x
+    if "adjacency.T" not in g._cache:  # benign race: the view is the same
+        g._cache["adjacency.T"] = g.adjacency.T
+    return g.degrees * x - (g.adjacency @ x + g._cache["adjacency.T"] @ x)
 
 
 def normalized_laplacian_apply(g: SignedGraph, y: np.ndarray) -> np.ndarray:
@@ -138,7 +142,9 @@ def smallest_eigenpair(g: SignedGraph) -> EigenPair:
     rootd = np.sqrt(g.degrees)
     spectrum = None
     if n <= DENSE_EIG_LIMIT:
-        lnorm = np.eye(n) - (g.adjacency.toarray() / rootd[:, None]) / rootd[None, :]
+        a = g.adjacency.toarray()
+        a += a.T  # disjoint triangles: the sum is exact
+        lnorm = np.eye(n) - (a / rootd[:, None]) / rootd[None, :]
         spectrum = vals, vecs = np.linalg.eigh(lnorm)
         lam = float(vals[0])
         y = vecs[:, 0]
@@ -204,7 +210,12 @@ def solve_shifted(
     for it in range(1, max_iter + 1):
         ap = laplacian_apply(g, p) - alpha * (g.degrees * p)
         pap = float(p @ ap)
-        if pap <= 0.0:
+        if pap == 0.0:  # p is nonzero, so p'Ap underflowed with the residual
+            raise ConvergenceError(
+                "conjugate gradients stalled: the residual underflowed",
+                float(np.linalg.norm(r)) / bnorm,
+            )
+        if pap < 0.0:
             raise SolverError(
                 f"shifted operator is not positive definite at alpha={alpha:.6g}"
             )

@@ -1,10 +1,10 @@
 """Threshold rounding of a real vector to a polarized community.
 
 Thresholding x at t > 0 yields the bands (x >= t, x <= -t); the sweep picks
-the t minimizing the signed bipartiteness ratio. ``naive_sweep`` recomputes
-the ratio from scratch at every candidate threshold (O(m) each) and serves
-as the reference; ``fast_sweep`` sorts the nodes once by |x| and fills the
-ratio of every prefix of that order with one edge pass, O(m + n log n) total.
+the t minimizing the signed bipartiteness ratio. ``fast_sweep`` sorts the
+nodes once by |x| and fills the ratio of every prefix of that order with one
+edge pass, O(m + n log n) total; ``oracle.naive_sweep``, which recomputes
+the ratio from scratch at every candidate threshold, is its reference.
 
 The pass works because an edge's class depends only on the signs of its
 endpoints, never on the threshold. A prefix's volume counts each edge
@@ -122,13 +122,6 @@ def build_sweep_table(g: SignedGraph, x) -> SweepTable:
     )
 
 
-def _prefix_community(g: SignedGraph, x, table: SweepTable, i: int) -> Community:
-    prefix = table.order_abs[:i]
-    c1 = prefix[x[prefix] > 0]
-    c2 = prefix[x[prefix] < 0]
-    return community(g, c1, c2)
-
-
 def fast_sweep(g: SignedGraph, x) -> Community:
     """Best threshold community via the prefix table.
 
@@ -143,44 +136,5 @@ def fast_sweep(g: SignedGraph, x) -> Community:
     betas = table.beta_prefix[cand]
     # last position attaining the minimum = smallest winning threshold
     best_i = int(cand[len(betas) - 1 - int(np.argmin(betas[::-1]))])
-    return _prefix_community(g, x, table, best_i)
-
-
-def naive_sweep(g: SignedGraph, x) -> Community:
-    """Reference sweep: evaluate the ratio from scratch at every threshold.
-
-    Runs in O(m) per candidate threshold and shares no intermediate state
-    with the fast path, so it serves as an independent oracle for it.
-    """
-    x = _check_vector(g, x)
-    thresholds = np.unique(np.abs(x[x != 0.0]))[::-1]
-    xu = x[g.edge_u]
-    xv = x[g.edge_v]
-    w = g.edge_w
-    aw = np.abs(w)
-    pos = w > 0
-    deg = g.degrees
-
-    best_beta = np.inf
-    best_t = None
-    for t in thresholds:
-        hi_u = xu >= t
-        hi_v = xv >= t
-        lo_u = xu <= -t
-        lo_v = xv <= -t
-        in_u = hi_u | lo_u
-        in_v = hi_v | lo_v
-        across = (hi_u & lo_v) | (lo_u & hi_v)
-        same1 = hi_u & hi_v
-        same2 = lo_u & lo_v
-        num = 2.0 * float(w[pos & across].sum())
-        num += float(aw[~pos & (same1 | same2)].sum())
-        num += float(aw[in_u != in_v].sum())
-        vol = float(deg[(x >= t) | (x <= -t)].sum())
-        b = num / vol
-        if b <= best_beta:
-            best_beta = b
-            best_t = t
-    c1 = np.flatnonzero(x >= best_t)
-    c2 = np.flatnonzero(x <= -best_t)
-    return community(g, c1, c2)
+    prefix = table.order_abs[:best_i]
+    return community(g, prefix[x[prefix] > 0], prefix[x[prefix] < 0])

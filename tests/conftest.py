@@ -26,6 +26,7 @@ def dense_normalized_laplacian(g):
     """Independent dense construction of I - D^{-1/2} A D^{-1/2}."""
     rootd = np.sqrt(g.degrees)
     a = g.adjacency.toarray()
+    a += a.T  # adjacency holds the upper triangle
     return np.eye(g.node_count) - (a / rootd[:, None]) / rootd[None, :]
 
 

@@ -82,10 +82,33 @@ class TestConstructor:
             shape=(n, n),
         )
         ref.sum_duplicates()
+        upper = sp.triu(ref, k=1, format="csr")
         adj = g.adjacency
         assert adj.indices.dtype == np.int32 and adj.has_sorted_indices
+        assert adj.nnz == g.edge_count and (adj + adj.T != ref).nnz == 0
         for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(adj, name), getattr(ref, name)), name
+            assert np.array_equal(getattr(adj, name), getattr(upper, name)), name
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_adjacency_is_the_one_edge_store(self, weighted):
+        g = random_signed_graph(200, 900, rng_seed=3, weighted=weighted)
+        assert g.adjacency.nnz == g.edge_count
+        assert np.shares_memory(g.adjacency.data, g.edge_w)
+
+    def test_build_makes_two_sorts(self, monkeypatch):
+        g = random_signed_graph(200, 900, rng_seed=3)
+        rows = [(g.labels[v], g.labels[u], w) for u, v, w in
+                zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())]
+        calls = []
+        real = graph_mod._stable_sort
+
+        def counting(key, *cols):
+            calls.append(len(key))
+            real(key, *cols)
+
+        monkeypatch.setattr(graph_mod, "_stable_sort", counting)
+        assert build_graph(rows).edge_count == g.edge_count
+        assert calls == [g.edge_count, g.edge_count]  # both in the merge
 
 
 def _pair_set(seed, n, m, weighted):
@@ -130,10 +153,10 @@ class TestEdgeOrder:
         g = SignedGraph([f"n{i}" for i in range(n)], u, v, w)
         adj = g.adjacency
         rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-        upper = adj.indices > rows
-        assert np.array_equal(g.edge_u, rows[upper])
-        assert np.array_equal(g.edge_v, adj.indices[upper])
-        assert np.array_equal(g.edge_w, adj.data[upper])
+        assert (adj.indices > rows).all()
+        assert np.array_equal(g.edge_u, rows)
+        assert np.array_equal(g.edge_v, adj.indices)
+        assert np.array_equal(g.edge_w, adj.data)
 
     @given(seed=st.integers(0, 10_000), pool=st.integers(1, 30), rows=st.integers(1, 300),
            weighted=st.booleans())
@@ -175,7 +198,9 @@ class TestEdgeOrder:
         # 3 positions take 2 bits, so a 63-bit key leaves no room
         with pytest.raises(GraphError, match="too large to index"):
             graph_mod._stable_sort(np.array([0, 2**62, 1]))
-        assert graph_mod._stable_sort(np.array([2**61, 0, 2**61])).tolist() == [1, 0, 2]
+        key, pos = np.array([2**61, 0, 2**61]), np.arange(3)
+        graph_mod._stable_sort(key, pos)
+        assert key.tolist() == [0, 2**61, 2**61] and pos.tolist() == [1, 0, 2]
 
 
 def _random_split(g, rng):

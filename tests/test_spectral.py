@@ -21,6 +21,7 @@ from signedpolar import (
     generate,
     grid_search_minimum,
     laplacian_apply,
+    random_signed_graph,
     rayleigh_quotient,
     seed_vector,
     smallest_eigenpair,
@@ -56,7 +57,9 @@ class TestLaplacianApply:
         rng = np.random.default_rng(5)
         for seed in range(5):
             g = make_random_graph(15, 30, seed=seed, weighted=True)
-            dense_l = np.diag(g.degrees) - g.adjacency.toarray()
+            a = g.adjacency.toarray()
+            a += a.T  # adjacency holds the upper triangle
+            dense_l = np.diag(g.degrees) - a
             x = rng.standard_normal(g.node_count)
             np.testing.assert_allclose(
                 laplacian_apply(g, x), dense_l @ x, rtol=1e-12, atol=1e-12
@@ -113,7 +116,9 @@ class TestSolveShifted:
         s = seed_vector(t3, {0}, {2})
         b = t3.degrees * s.values
         x, _ = solve_shifted(t3, 0.0, b, tol=1e-12)
-        dense_l = np.diag(t3.degrees) - t3.adjacency.toarray()
+        a = t3.adjacency.toarray()
+        a += a.T  # adjacency holds the upper triangle
+        dense_l = np.diag(t3.degrees) - a
         np.testing.assert_allclose(x, np.linalg.solve(dense_l, b), rtol=1e-8)
 
     def test_random_graphs_against_dense(self):
@@ -124,7 +129,9 @@ class TestSolveShifted:
             alpha = lam1 - rng.uniform(0.05, 1.0)
             b = rng.standard_normal(g.node_count)
             x, _ = solve_shifted(g, alpha, b, tol=1e-11)
-            dense = np.diag(g.degrees) - g.adjacency.toarray() - alpha * np.diag(g.degrees)
+            a = g.adjacency.toarray()
+            a += a.T  # adjacency holds the upper triangle
+            dense = np.diag(g.degrees) - a - alpha * np.diag(g.degrees)
             np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-6, atol=1e-9)
 
     def test_indefinite_shift_detected(self, t3):
@@ -151,6 +158,25 @@ class TestSolveShifted:
         with pytest.raises(ConvergenceError, match="underflowed") as exc:
             solve_seeded(g, s, kappa=0.9, cg_tol=1e-300)
         assert 0 < exc.value.residual < 1e-100
+
+    @given(n=st.sampled_from([20, 30, 40]), per_node=st.sampled_from([2, 3]),
+           graph_seed=st.integers(0, 2**16), log_tol=st.floats(-300, -8))
+    @example(n=20, per_node=2, graph_seed=9, log_tol=-300)
+    @example(n=40, per_node=3, graph_seed=11, log_tol=-300)
+    @settings(max_examples=60, deadline=None)
+    def test_any_tolerance_certifies_or_raises_convergence(
+        self, n, per_node, graph_seed, log_tol
+    ):
+        # Below lambda1 the operator is positive definite, so no tolerance,
+        # however far below float resolution, may report it indefinite.
+        g = random_signed_graph(n, per_node * n, rng_seed=graph_seed, weighted=True)
+        s = seed_vector(g, {0}, {1})
+        try:
+            sol = solve_seeded(g, s, kappa=0.9, cg_tol=10.0**log_tol)
+        except ConvergenceError as exc:
+            assert exc.residual >= 0
+        else:
+            assert abs(sol.correlation - 0.9) <= 1e-3 or not sol.constraint_active
 
 
 class TestSolveSeeded:
@@ -474,6 +500,16 @@ class TestSecularSources:
             assert (ours.c1, ours.c2) == (ref.c1, ref.c2)
 
 
+@pytest.fixture(scope="module")
+def planted():
+    """The 640-node planted graph of ``test_lanczos_matches_reference_bisection``
+    with its eigenpair cached, and a seed on its first pair."""
+    g, truth = generate(SynthParams(pairs=16, band_size=20, eta=0.01, rng_seed=3))
+    band1, band2 = truth.pairs[0]
+    smallest_eigenpair(g)
+    return g, seed_vector(g, {g.index_of(min(band1))}, {g.index_of(min(band2))})
+
+
 class TestCorrelationBracket:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -494,15 +530,6 @@ class TestCorrelationBracket:
         for alpha, c_lo, c_hi in brackets:
             c = _dense_correlation(g, s, alpha)
             assert c_lo - 1e-12 <= c <= c_hi + 1e-12
-
-    @pytest.fixture(scope="class")
-    def planted(self):
-        """The 640-node planted graph of ``test_lanczos_matches_reference_bisection``
-        with its eigenpair cached, and a seed on its first pair."""
-        g, truth = generate(SynthParams(pairs=16, band_size=20, eta=0.01, rng_seed=3))
-        band1, band2 = truth.pairs[0]
-        smallest_eigenpair(g)
-        return g, seed_vector(g, {g.index_of(min(band1))}, {g.index_of(min(band2))})
 
     @staticmethod
     def lanczos_run(g, s, kappa, eps, bracket=True):
@@ -539,6 +566,26 @@ class TestCorrelationBracket:
             if steps[eps] < residual_only:
                 assert inside[-1]
         assert steps[1e-3] < steps[1e-14]
+
+
+class TestWorkDone:
+    """Exact counts of the work a warm query does, so that a change in work
+    fails here rather than waiting for a wall-time benchmark."""
+
+    @pytest.mark.parametrize("kappa, matvecs", [(0.2, 70), (0.5, 28), (0.9, 15)])
+    def test_laplacian_applications_per_warm_query(self, planted, monkeypatch,
+                                                   kappa, matvecs):
+        g, s = planted
+        calls = []
+        apply = spectral.laplacian_apply
+
+        def counting(*args):
+            calls.append(1)
+            return apply(*args)
+
+        monkeypatch.setattr(spectral, "laplacian_apply", counting)
+        sol = solve_seeded(g, s, kappa=kappa)
+        assert len(calls) == sol.lanczos_steps + sol.cg_iterations == matvecs
 
 
 def test_import_leaves_scipy_optimize_out():
