@@ -127,6 +127,30 @@ class TestReferenceEquivalence:
             patch.setattr(io_mod, "_BLOCK_BYTES", block)
             assert_matches_reference(path, directed)
 
+    @given(text=edge_files())
+    @settings(max_examples=100, deadline=None)
+    def test_line_bound_covers_the_lines_and_rewinds(self, text):
+        # bytes.splitlines ends lines at \n, \r\n and \r, as the grammar does
+        data = text.encode()
+        fh = BytesIO(data)
+        assert io_mod._line_bound(fh) >= len(data.splitlines())
+        assert fh.tell() == 0
+
+    def test_line_bound_of_an_unseekable_file_is_zero(self):
+        class Pipe(BytesIO):
+            def seekable(self):
+                return False
+
+        fh = Pipe(b"a b 1\n")
+        assert io_mod._line_bound(fh) == 0
+        assert fh.tell() == 0
+
+    @pytest.mark.parametrize("bound", [0, 1, 7])
+    def test_columns_grow_past_a_low_line_bound(self, tmp_path, monkeypatch, bound):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(io_mod, "_line_bound", lambda fh: bound)
+        assert_matches_reference(_generated_file(tmp_path))
+
     def test_blocks_end_after_line_breaks(self, monkeypatch):
         monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 4)
         text = b"a b 1\r\nc d 1\re f 1\ng h 1"
