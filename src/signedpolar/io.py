@@ -59,10 +59,8 @@ _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(8)], dtype=np.uint64)
 # the top byte; a longer one is its serial number in a dict plus this.
 _LONG_TOKEN = 0xFF << 56
 # The file is read this many bytes at a time; a block ends after its last
-# line break, so only a block's worth of offsets and masks exists at once.
-# They stay near a megabyte, so the allocator serves each block's from the
-# memory the block before freed; blocks of a few MiB left 30-60 MB of freed
-# memory resident after reading the local-100k file, varying run to run.
+# line break, so only a block's worth of offsets and masks exists at once,
+# near a megabyte: the next block's reuse the memory they free.
 _BLOCK_BYTES = 1 << 18
 # Odd multiplier for multiplicative (Fibonacci) hashing of uint64 keys.
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -83,6 +81,9 @@ def read_edge_list(path) -> EdgeList:
     long_labels: dict[bytes, int] = {}
     lines = rows = 0
     with open(path, "rb") as fh:
+        # Kept as per-block pieces and joined at the end, the columns held
+        # the heap's freed memory resident between them, 30-60 MB that
+        # varied from run to run on the local-100k file.
         cap = _line_bound(fh)
         key = np.empty(2 * cap, dtype=np.uint64)
         w = np.empty(cap)
@@ -91,7 +92,7 @@ def read_edge_list(path) -> EdgeList:
             end = rows + len(wb)
             if end > cap:  # a file that cannot be rewound, or that grew
                 cap = max(end, 2 * cap)
-                key, w = _grown(key, 2 * cap), _grown(w, cap)
+                key, w = np.resize(key, 2 * cap), np.resize(w, cap)
             key[2 * rows : 2 * end] = k
             w[rows:end] = wb
             rows = end
@@ -109,15 +110,8 @@ def read_edge_list(path) -> EdgeList:
 
 
 def _line_bound(fh) -> int:
-    """At least the number of lines in ``fh``, which is read through and
-    rewound; 0 if it cannot be rewound.
-
-    Columns sized up front are not joined at the end, and no per-block
-    pieces sit in the allocator's heap between the temporaries of the
-    blocks around them, where they kept freed memory resident by an amount
-    that varied from run to run (40 MB in the peak of reading the
-    ``local-100k`` file).
-    """
+    """At least the number of lines in ``fh``, read through and rewound; 0
+    if it cannot be rewound."""
     if not fh.seekable():
         return 0
     bound = 1
@@ -125,13 +119,6 @@ def _line_bound(fh) -> int:
         bound += chunk.count(b"\n") + chunk.count(b"\r")
     fh.seek(0)
     return bound
-
-
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """``a`` copied to the front of a new array of ``size`` elements."""
-    out = np.empty(size, dtype=a.dtype)
-    out[: len(a)] = a
-    return out
 
 
 def _blocks(fh):
