@@ -1,7 +1,8 @@
 """Seed-driven discovery of mutually antagonistic node groups in signed
 graphs: a spectral solver with a correlation constraint toward the seeds,
-linear-time threshold rounding, evaluation metrics, synthetic benchmarks,
-and brute-force certificates for the provable bounds."""
+linear-time threshold rounding, evaluation metrics, and synthetic
+benchmarks. The reference paths and the brute-force certificates for the
+provable bounds are in :mod:`signedpolar.oracle`."""
 
 from .graph import (
     Community,
@@ -27,24 +28,6 @@ from .harness import (
 )
 from .io import IngestError, ingest, read_edge_list, read_ground_truth, write_edge_list, write_ground_truth
 from .metrics import MetricReport, average_precision, ham, metric_report, polarity
-from .oracle import (
-    ApproximationReport,
-    CheegerCertificate,
-    KktReport,
-    OracleError,
-    RelaxationReport,
-    beta,
-    bisect_shift,
-    brute_force_cheeger,
-    correlation_at,
-    grid_search_minimum,
-    indicator_vector,
-    kkt_check,
-    naive_sweep,
-    rayleigh_quotient,
-    verify_approximation,
-    verify_relaxation,
-)
 from .spectral import (
     ConvergenceError,
     EigenPair,

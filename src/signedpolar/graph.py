@@ -18,8 +18,6 @@ from scipy.sparse.csgraph import connected_components
 Label = Hashable
 
 SEED_NORM_TOL = 1e-10
-# Below this many unfinished runs, _sum_runs sums each run on its own.
-_FEW_RUNS = 64
 # Rows per block when _stable_sort gathers a column.
 _GATHER_BLOCK = 1 << 12
 
@@ -331,50 +329,26 @@ def _merge_pairs(
     lo: np.ndarray, hi: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge the rows ``(lo, hi, w)``, sorted in place, into pairs in
-    ``(lo, hi)`` order, each summed in row order; zero sums are dropped."""
+    ``(lo, hi)`` order, each summed in row order; zero sums are dropped.
+
+    Only the rows of pairs that occur twice or more are summed, by one
+    ``np.bincount`` over their run numbers. bincount adds a bin's weights
+    in index order, like a running ``+=`` from 0.0, so each sum has the
+    bits of the row-order sum; ``np.add.reduceat`` adds a run's tail
+    pairwise and can differ in the last bit.
+    """
     _sort_pairs(lo, hi, w)
     head = np.empty(len(w), dtype=bool)  # the first row of each pair
     head[0] = True
     np.not_equal(lo[1:], lo[:-1], out=head[1:])
     head[1:] |= hi[1:] != hi[:-1]
-    _sum_runs(w, head)
+    rep = ~head
+    rep[:-1] |= rep[1:]  # every row of a pair that occurs twice or more
+    w[rep & head] = np.bincount(np.cumsum(head[rep]) - 1, weights=w[rep])
     head &= w != 0
     if not head.any():
         raise GraphError("all edges cancelled during merging")
     return lo[head], hi[head], w[head]
-
-
-def _sum_runs(x: np.ndarray, head: np.ndarray) -> None:
-    """Sum each run of ``x`` from a row where ``head`` is set up to the next
-    such row, left to right the way a running ``+=`` does, into the run's
-    first element.
-
-    ``np.add.reduceat`` is not used: it adds a run's tail pairwise, so a run
-    of three or more terms can differ from the running sum in the last bit.
-    Only runs of two or more rows are touched, so no array of the rows' size
-    is made beyond two masks. While many runs are open, one vectorized step
-    adds the next term of each, so there are at most ``len(x) / _FEW_RUNS``
-    steps. The few longest runs are then summed one by one with
-    ``np.add.accumulate``, which also adds left to right.
-    """
-    tail = ~head[1:]
-    start = np.flatnonzero(head[:-1] & tail)
-    # a run's last row is a tail row followed by a head row or by the end
-    tail[:-1] &= head[2:]
-    size = np.flatnonzero(tail) + 2
-    del tail
-    size -= start
-    total = x[start]
-    run = np.arange(len(start))
-    k = 1
-    while run.size >= _FEW_RUNS:
-        total[run] += x[start[run] + k]
-        k += 1
-        open_ = size > k
-        run, size = run[open_], size[open_]
-    for i, a, n in zip(run.tolist(), start[run].tolist(), size.tolist()):
-        total[i] = np.add.accumulate(x[a : a + n])[-1]
-    x[start] = total
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class ExperimentConfig:
     eps: float = DEFAULT_EPS
     cg_tol: float = 1e-8
     rng_seed: int = 0
-    include_timings: bool = field(default=False)
+    include_timings: bool = False
 
 
 def query(
@@ -313,10 +313,12 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def experiment_csv(rows, include_timings: bool = False) -> str:
+def experiment_csv(rows) -> str:
     """Render campaign rows with a fixed column order and float format, so
-    identical inputs produce identical bytes."""
-    columns = EXPERIMENT_COLUMNS + (TIMING_COLUMNS if include_timings else ())
+    identical inputs produce identical bytes. The timing columns are
+    appended when the rows carry them (``include_timings``)."""
+    timed = any(TIMING_COLUMNS[0] in row for row in rows)
+    columns = EXPERIMENT_COLUMNS + (TIMING_COLUMNS if timed else ())
 
     def fmt(v):
         if isinstance(v, float):

@@ -329,10 +329,21 @@ def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_edge_list(path, g: SignedGraph) -> None:
-    """Write ``g``'s edges as ``u v w`` lines, in ``(u, v)`` order."""
+    """Write ``g``'s edges as ``u v w`` lines, in ``(u, v)`` order, so that
+    :func:`read_edge_list` reads back each label's ``str()`` and each weight.
+
+    A label whose ``str()`` is not one token under ``str.split()``, or holds
+    ``#``, raises :class:`GraphError` before the file is opened. Weights get
+    17 significant digits, which read back as the same float; ``1.0`` is
+    written as ``1``.
+    """
+    names = [str(label) for label in g.labels]
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise GraphError(f"label {name!r} cannot be written as one token")
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
-            fh.write(f"{g.labels[u]} {g.labels[v]} {w:.12g}\n")
+        for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
+            fh.write(f"{names[u]} {names[v]} {w:.17g}\n")
 
 
 def ingest(path, directed: bool = False) -> SignedGraph:

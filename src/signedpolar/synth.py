@@ -78,6 +78,44 @@ def _restrict_truth(truth: GroundTruth, kept: set) -> GroundTruth:
     )
 
 
+def _signs(u: np.ndarray, same_pair: np.ndarray, same_band: np.ndarray, eta: float) -> np.ndarray:
+    """Each node pair's sign under :func:`generate`'s three-case rule, from
+    its uniform draw ``u``; 0 is no edge."""
+    lo = u < 1.0 - eta
+    mid = u < 1.0 - eta / 2.0
+    within = same_pair & same_band
+    cross = same_pair & ~same_band
+    other = ~same_pair & ~lo
+    sign = np.zeros(len(u), dtype=np.int8)
+    sign[within & lo] = 1
+    sign[within & ~lo & mid] = -1
+    sign[cross & lo] = -1
+    sign[cross & ~lo & mid] = 1
+    sign[other & mid] = 1
+    sign[other & ~mid] = -1
+    return sign
+
+
+def _with_truth(
+    g: SignedGraph, labels: list[str], pairs: int, m: int, outliers
+) -> tuple[SignedGraph, GroundTruth]:
+    """``g`` with its planted truth, pair ``p`` being the bands
+    ``labels[2pm : 2pm+m]`` and the ``m`` labels after them. A graph that is
+    disconnected or lacks some of ``labels`` is restricted to its largest
+    component and the truth filtered to it."""
+    truth = GroundTruth(
+        pairs=tuple(
+            (frozenset(labels[a : a + m]), frozenset(labels[a + m : a + 2 * m]))
+            for a in range(0, 2 * pairs * m, 2 * m)
+        ),
+        outliers=frozenset(outliers),
+    )
+    if not g.is_connected() or g.node_count < len(labels):
+        g, _, _ = largest_component(g)
+        truth = _restrict_truth(truth, set(g.labels))
+    return g, truth
+
+
 def generate(params: SynthParams) -> tuple[SignedGraph, GroundTruth]:
     """Sample a polarized graph under the three-case edge-noise rule.
 
@@ -108,39 +146,13 @@ def generate(params: SynthParams) -> tuple[SignedGraph, GroundTruth]:
     u = rng.random(len(iu))
 
     same_pair = (pair_id[iu] == pair_id[iv]) & (pair_id[iu] >= 0)
-    within = same_pair & (band_id[iu] == band_id[iv])
-    cross = same_pair & (band_id[iu] != band_id[iv])
-    other = ~same_pair
-
-    sign = np.zeros(len(iu), dtype=np.int8)
-    lo = u < 1.0 - eta
-    mid = u < 1.0 - eta / 2.0
-    sign[within & lo] = 1
-    sign[within & ~lo & mid] = -1
-    sign[cross & lo] = -1
-    sign[cross & ~lo & mid] = 1
-    sign[other & ~lo & mid] = 1
-    sign[other & ~lo & ~mid] = -1
+    sign = _signs(u, same_pair, band_id[iu] == band_id[iv], eta)
 
     keep = sign != 0
     if not keep.any():
         raise SynthError("parameters produced an empty graph")
     g = build_graph(EdgeList(labels, iu[keep], iv[keep], sign[keep].astype(np.float64)))
-
-    truth = GroundTruth(
-        pairs=tuple(
-            (
-                frozenset(labels[2 * p * m : 2 * p * m + m]),
-                frozenset(labels[2 * p * m + m : 2 * p * m + 2 * m]),
-            )
-            for p in range(params.pairs)
-        ),
-        outliers=frozenset(labels[2 * params.pairs * m :]),
-    )
-    if not g.is_connected() or g.node_count < n:
-        g, _, _ = largest_component(g)
-        truth = _restrict_truth(truth, set(g.labels))
-    return g, truth
+    return _with_truth(g, labels, params.pairs, m, labels[2 * params.pairs * m :])
 
 
 def random_signed_graph(
@@ -210,16 +222,7 @@ def generate_scaled(
     pair_id = (np.arange(planted) // (2 * m)).astype(np.int64)
     band_id = (np.arange(planted) // m % 2).astype(np.int64)
     same_pair = pair_id[iu] == pair_id[iv]
-    within = same_pair & (band_id[iu] == band_id[iv])
-    cross = same_pair & ~within
-    u = rng.random(len(iu))
-    sign = np.zeros(len(iu), dtype=np.int8)
-    lo = u < 1.0 - eta
-    mid = u < 1.0 - eta / 2.0
-    sign[within & lo] = 1
-    sign[within & ~lo & mid] = -1
-    sign[cross & lo] = -1
-    sign[cross & ~lo & mid] = 1
+    sign = _signs(rng.random(len(iu)), same_pair, band_id[iu] == band_id[iv], eta)
     keep = same_pair & (sign != 0)
     eu = iu[keep]
     ev = iv[keep]
@@ -245,18 +248,4 @@ def generate_scaled(
         ev = np.concatenate([ev, bv])
         ew = np.concatenate([ew, bsign])
 
-    g = SignedGraph(labels, eu, ev, ew)
-    truth = GroundTruth(
-        pairs=tuple(
-            (
-                frozenset(labels[2 * p * m : 2 * p * m + m]),
-                frozenset(labels[2 * p * m + m : 2 * p * m + 2 * m]),
-            )
-            for p in range(pairs)
-        ),
-        outliers=frozenset(),
-    )
-    if not g.is_connected():
-        g, _, _ = largest_component(g)
-        truth = _restrict_truth(truth, set(g.labels))
-    return g, truth
+    return _with_truth(SignedGraph(labels, eu, ev, ew), labels, pairs, m, ())

@@ -11,20 +11,22 @@ from signedpolar import (
     community,
     fast_sweep,
     generate_scaled,
-    grid_search_minimum,
-    indicator_vector,
-    naive_sweep,
     query,
-    rayleigh_quotient,
     sample_seed_pairs,
     seed_vector,
     smallest_eigenpair,
     solve_seeded,
-    verify_approximation,
-    verify_relaxation,
 )
 from signedpolar.cli import main
 from signedpolar.harness import ExperimentConfig, run_experiment
+from signedpolar.oracle import (
+    grid_search_minimum,
+    indicator_vector,
+    naive_sweep,
+    rayleigh_quotient,
+    verify_approximation,
+    verify_relaxation,
+)
 from signedpolar.synth import SynthParams, reference_average_degree
 from conftest import make_random_graph
 

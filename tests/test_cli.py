@@ -3,6 +3,7 @@ import json
 import pytest
 
 from signedpolar.cli import main
+from signedpolar.harness import EXPERIMENT_COLUMNS, TIMING_COLUMNS
 
 
 @pytest.fixture
@@ -77,6 +78,28 @@ class TestExperimentCommand:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_timings_flag_appends_the_timing_columns(self, tmp_path):
+        args = ["experiment", "--eta", "0.0", "--pairs", "2", "--band-size", "4",
+                "--graphs", "1", "--queries", "2", "--seed", "5"]
+        plain, timed = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--timings", "--out", str(timed)]) == 0
+        header = timed.read_text().split("\n")[0].split(",")
+        assert tuple(header[-4:]) == TIMING_COLUMNS
+        assert tuple(header[:-4]) == EXPERIMENT_COLUMNS
+        assert plain.read_text().split("\n")[0].split(",") == list(EXPERIMENT_COLUMNS)
+
+
+class TestBenchCommand:
+    def test_doubling_run_prints_its_timings(self, capsys):
+        assert main(["bench", "--nodes", "2000", "--doubling"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key in ("nodes", "edges", "solve_ms", "round_ms", "doubled_nodes",
+                    "round_scaling"):
+            assert key in doc
+        assert doc["nodes"] <= 2000 < doc["doubled_nodes"] <= 4000
+        assert doc["edges"] > 0 and doc["solve_ms"] > 0 and doc["round_scaling"] > 0
 
 
 class TestOracleCheckCommand:

@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 from signedpolar import (
     GraphError,
     SignedGraph,
-    beta,
     build_graph,
     community,
     edge_counts,
-    indicator_vector,
     largest_component,
     random_signed_graph,
-    rayleigh_quotient,
     seed_vector,
 )
 import signedpolar.graph as graph_mod
-from signedpolar.oracle import naive_build_graph, naive_edge_counts
+from signedpolar.oracle import (
+    beta,
+    indicator_vector,
+    naive_build_graph,
+    naive_edge_counts,
+    rayleigh_quotient,
+)
 from conftest import assert_same_graph, make_random_graph, scratch_beta
 
 

@@ -12,7 +12,6 @@ from signedpolar import (
     community,
     filter_overlaps,
     ingest,
-    naive_sweep,
     query,
     random_signed_graph,
     read_edge_list,
@@ -24,7 +23,7 @@ from signedpolar import (
     write_ground_truth,
 )
 from signedpolar.harness import ExperimentConfig, experiment_csv, run_experiment
-from signedpolar.oracle import naive_degrees
+from signedpolar.oracle import naive_degrees, naive_sweep
 from signedpolar.synth import GroundTruth, SynthParams, generate
 
 
@@ -107,6 +106,25 @@ class TestIngest:
             }
 
         assert labelled(h) == labelled(g)
+
+    def test_roundtrip_keeps_every_float_weight(self, tmp_path):
+        rng = np.random.default_rng(4)
+        base = random_signed_graph(60, 200, rng_seed=4)
+        w = base.edge_w * rng.uniform(0.5, 2.0, base.edge_count)
+        w *= 10.0 ** rng.integers(-12, 12, base.edge_count)
+        w[0] = 0.1 + 0.2  # 0.30000000000000004, which 12 digits print as 0.3
+        g = SignedGraph(base.labels, base.edge_u, base.edge_v, w)
+        path = tmp_path / "rt.edges"
+        write_edge_list(path, g)
+        assert read_edge_list(path).w.tobytes() == g.edge_w.tobytes()
+
+    @pytest.mark.parametrize("bad", ["New York", "a#b", "x\xa0y", "", " a"])
+    def test_unwritable_label_raises_before_the_file_is_made(self, tmp_path, bad):
+        g = SignedGraph(["a", bad, "c"], [0, 0], [1, 2], [1.0, -1.0])
+        path = tmp_path / "rt.edges"
+        with pytest.raises(GraphError, match="one token"):
+            write_edge_list(path, g)
+        assert not path.exists()
 
 
 class TestGroundTruthIO:

@@ -174,7 +174,7 @@ class TestReferenceEquivalence:
         assert_matches_reference(path)
 
     def test_many_repeated_pairs_of_mixed_lengths(self, tmp_path):
-        # more open runs than _FEW_RUNS at first, then fewer: both phases
+        # 150 pairs, each repeated 1 to 399 times, their rows interleaved
         rng = np.random.default_rng(3)
         sizes = rng.integers(1, 400, 150)
         pairs = np.repeat(np.arange(len(sizes)), sizes)

@@ -3,15 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from signedpolar import (
+from signedpolar import seed_vector, smallest_eigenpair, solve_seeded
+from signedpolar.oracle import (
     OracleError,
     beta,
     brute_force_cheeger,
     correlation_at,
     kkt_check,
-    seed_vector,
-    smallest_eigenpair,
-    solve_seeded,
     verify_approximation,
     verify_relaxation,
 )

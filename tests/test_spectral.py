@@ -14,15 +14,11 @@ from signedpolar import (
     ConvergenceError,
     GraphError,
     SolverError,
-    bisect_shift,
     build_graph,
-    correlation_at,
     fast_sweep,
     generate,
-    grid_search_minimum,
     laplacian_apply,
     random_signed_graph,
-    rayleigh_quotient,
     seed_vector,
     smallest_eigenpair,
     solve_seeded,
@@ -30,6 +26,12 @@ from signedpolar import (
 )
 from signedpolar import spectral
 from signedpolar.graph import SeedVector
+from signedpolar.oracle import (
+    bisect_shift,
+    correlation_at,
+    grid_search_minimum,
+    rayleigh_quotient,
+)
 from signedpolar.spectral import SHIFT_GUARD, shift_lower_bound
 from signedpolar.synth import SynthParams
 from conftest import dense_normalized_laplacian, make_random_graph

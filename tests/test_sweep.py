@@ -3,14 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from signedpolar import (
-    SweepError,
-    build_graph,
-    build_sweep_table,
-    fast_sweep,
-    naive_sweep,
-    rayleigh_quotient,
-)
+from signedpolar import SweepError, build_graph, build_sweep_table, fast_sweep
+from signedpolar.oracle import naive_sweep, rayleigh_quotient
 from signedpolar.sweep import edge_charge
 from conftest import make_random_graph, scratch_beta
 

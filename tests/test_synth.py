@@ -4,12 +4,12 @@ import pytest
 from signedpolar import (
     SynthError,
     SynthParams,
-    beta,
     generate,
     generate_scaled,
     reference_average_degree,
     smallest_eigenpair,
 )
+from signedpolar.oracle import beta
 
 
 def edge_set(g):
