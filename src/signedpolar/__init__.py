@@ -19,9 +19,7 @@ from .graph import (
 )
 from .harness import (
     ExperimentConfig,
-    QueryConfig,
     experiment_csv,
-    filter_overlaps,
     query,
     run_experiment,
     sample_seed_pairs,

@@ -33,13 +33,13 @@ class SignedGraph:
     its external label. The constructor takes each undirected pair exactly
     once with ``edge_u < edge_v`` (:func:`build_graph` merges duplicate
     input pairs by summing weights to get there) and raises
-    :class:`GraphError` otherwise. The edges are kept in ``(u, v)`` order;
-    pairs given in another order are sorted into it. ``adjacency`` is the
-    strictly upper-triangular CSR matrix ``U`` of the edges, so the
-    adjacency matrix is ``U + U.T``: row ``u`` holds the edges ``(u, v)``
-    in ``v`` order, its ``data`` is ``edge_w`` itself and its ``indices``
-    are ``edge_v`` as int32 (int64 past their range). The edges are stored
-    once.
+    :class:`GraphError` otherwise; pairs given in another order are sorted
+    into ``(u, v)`` order. ``adjacency`` is the strictly upper-triangular
+    CSR matrix ``U`` of the edges, so the adjacency matrix is ``U + U.T``:
+    row ``u`` holds the edges ``(u, v)`` in ``v`` order, with int32 indices
+    (int64 past their range). It is the one edge store; the edge triples
+    ``(u, v, w)``, in ``(u, v)`` order, are ``adjacency.tocoo()``'s
+    ``row``, ``col`` and ``data``.
 
     Instances are never mutated after construction and are safe to share
     across threads.
@@ -49,9 +49,6 @@ class SignedGraph:
         "node_count",
         "labels",
         "label_index",
-        "edge_u",
-        "edge_v",
-        "edge_w",
         "adjacency",
         "degrees",
         "total_volume",
@@ -70,15 +67,14 @@ class SignedGraph:
             _sort_pairs(u, v, w)
             if not _in_pair_order(u, v):
                 raise GraphError("edge pairs must be distinct with edge_u < edge_v")
-        self.edge_u, self.edge_v, self.edge_w = u, v, w
         idx = np.int32 if max(n, len(w)) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
         self.adjacency = sp.csr_matrix((w, v.astype(idx, copy=False), indptr), shape=(n, n))
         # bincount adds in index order and add.at goes on from there: all
-        # edge_u terms before the edge_v ones. edge_counts sums a node's
-        # internal weights in this same order, so the two summation orders
-        # must match.
+        # of U's row terms before its column terms. edge_counts sums a
+        # node's internal weights in this same order, so the two summation
+        # orders must match.
         absw = np.abs(w)
         self.degrees = np.bincount(u, absw, minlength=n)
         np.add.at(self.degrees, v, absw)
@@ -87,7 +83,7 @@ class SignedGraph:
 
     @property
     def edge_count(self) -> int:
-        return self.edge_w.shape[0]
+        return self.adjacency.nnz
 
     def index_of(self, label) -> int:
         try:
@@ -373,8 +369,8 @@ def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     may lie in a row outside the union, so the boundary is summed per node:
     ``max(deg[r] - inner[r], 0)`` over the union, ``inner[r]`` being node
     ``r``'s internal ``|w|``. ``inner`` is summed in the order
-    :class:`SignedGraph` sums ``degrees`` (its edges as ``u``, then as
-    ``v``), and the two summation orders must match: then a node without an
+    :class:`SignedGraph` sums ``degrees`` (over ``U``'s rows, then over its
+    columns), and the two summation orders must match: then a node without an
     outside neighbour adds exactly 0, and a whole-graph split has boundary 0.
     """
     side = _membership(g, c1, c2)
@@ -475,15 +471,16 @@ def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:
     vols = np.bincount(comp, g.degrees, minlength=ncomp)
     best = comp[np.argmax(vols[comp] == vols.max())]
     keep_mask = comp == best
-    keep_edges = keep_mask[g.edge_u]
+    edges = g.adjacency.tocoo()
+    keep_edges = keep_mask[edges.row]
     labels = [g.labels[i] for i in np.flatnonzero(keep_mask).tolist()]
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[keep_mask] = np.arange(keep_mask.sum())
     sub = SignedGraph(
         labels,
-        remap[g.edge_u[keep_edges]],
-        remap[g.edge_v[keep_edges]],
-        g.edge_w[keep_edges],
+        remap[edges.row[keep_edges]],
+        remap[edges.col[keep_edges]],
+        edges.data[keep_edges],
     )
     sub._cache["connected"] = True
     return sub, int(g.node_count - sub.node_count), int(g.edge_count - sub.edge_count)

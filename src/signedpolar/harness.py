@@ -27,24 +27,6 @@ DEFAULT_EPS = 1e-3
 
 
 @dataclass(frozen=True)
-class QueryConfig:
-    graph_path: str | None = None
-    s1_labels: tuple = ()
-    s2_labels: tuple = ()
-    kappa: float = DEFAULT_KAPPA
-    eps: float = DEFAULT_EPS
-    cg_tol: float = 1e-8
-    output_path: str | None = None
-    emit_vector: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in [0, 1), got {self.kappa}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     etas: tuple[float, ...] = (0.05,)
     seed_sizes: tuple[int, ...] = (2,)
@@ -136,10 +118,12 @@ def sample_seed_pairs(
     """
     if t < 0:
         raise ValueError("threshold t must be nonnegative")
-    posw = np.maximum(g.edge_w, 0.0)  # positive degrees, summed like g.degrees
-    pos = np.bincount(g.edge_u, posw, minlength=g.node_count)
-    np.add.at(pos, g.edge_v, posw)
-    ok = (g.edge_w < 0) & (pos[g.edge_u] >= t) & (pos[g.edge_v] >= t)
+    edges = g.adjacency.tocoo()
+    u, v, w = edges.row, edges.col, edges.data
+    posw = np.maximum(w, 0.0)  # positive degrees, summed like g.degrees
+    pos = np.bincount(u, posw, minlength=g.node_count)
+    np.add.at(pos, v, posw)
+    ok = (w < 0) & (pos[u] >= t) & (pos[v] >= t)
     idx = np.flatnonzero(ok)
     if len(idx) == 0:
         raise GraphError(
@@ -157,27 +141,7 @@ def sample_seed_pairs(
     else:
         rng = np.random.default_rng(rng_seed)
         chosen = rng.choice(idx, size=count, replace=False)
-    return [(g.labels[g.edge_u[i]], g.labels[g.edge_v[i]]) for i in chosen]
-
-
-def filter_overlaps(communities, rng_seed: int = 0) -> list[Community]:
-    """Greedy disjoint selection in a random scan order.
-
-    A community survives iff it shares no node with previously kept ones;
-    survivors are therefore pairwise disjoint regardless of the seed.
-    """
-    communities = list(communities)
-    order = np.random.default_rng(rng_seed).permutation(len(communities))
-    kept: list[Community] = []
-    covered: set[int] = set()
-    for i in order:
-        comm = communities[i]
-        members = set(comm.c1) | set(comm.c2)
-        if members & covered:
-            continue
-        kept.append(comm)
-        covered |= members
-    return kept
+    return [(g.labels[u[i]], g.labels[v[i]]) for i in chosen]
 
 
 def _pick_truth_pair(g, truth: GroundTruth, size: int, rng):

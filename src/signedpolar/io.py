@@ -341,8 +341,9 @@ def write_edge_list(path, g: SignedGraph) -> None:
     for name in names:
         if name.split() != [name] or "#" in name:
             raise GraphError(f"label {name!r} cannot be written as one token")
+    edges = g.adjacency.tocoo()
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
+        for u, v, w in zip(edges.row.tolist(), edges.col.tolist(), edges.data.tolist()):
             fh.write(f"{names[u]} {names[v]} {w:.17g}\n")
 
 

@@ -167,13 +167,14 @@ def naive_build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGrap
 
 def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Reference for ``SignedGraph.degrees`` and the positive degrees of
-    ``harness.sample_seed_pairs``: ``np.add.at`` over ``edge_u``, then over
-    ``edge_v``."""
-    absw = np.abs(g.edge_w)
-    posw = np.where(g.edge_w > 0, g.edge_w, 0.0)
+    ``harness.sample_seed_pairs``: ``np.add.at`` over ``U``'s rows, then
+    over its columns."""
+    edges = g.adjacency.tocoo()
+    absw = np.abs(edges.data)
+    posw = np.where(edges.data > 0, edges.data, 0.0)
     deg = np.zeros(g.node_count)
     pos = np.zeros(g.node_count)
-    for ends in (g.edge_u, g.edge_v):
+    for ends in (edges.row, edges.col):
         np.add.at(deg, ends, absw)
         np.add.at(pos, ends, posw)
     return deg, pos
@@ -182,9 +183,10 @@ def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
 def naive_edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     """Reference for ``graph.edge_counts``: a masked pass over all edges."""
     side = _membership(g, c1, c2)
-    su = side[g.edge_u]
-    sv = side[g.edge_v]
-    w = g.edge_w
+    edges = g.adjacency.tocoo()
+    su = side[edges.row]
+    sv = side[edges.col]
+    w = edges.data
     aw = np.abs(w)
     pos = w > 0
     across = su.astype(np.int16) * sv == -1
@@ -225,9 +227,10 @@ def rayleigh_quotient(g: SignedGraph, x: np.ndarray) -> float:
     denom = float(g.degrees @ (x * x))
     if denom == 0.0:
         raise GraphError("Rayleigh quotient of the zero vector")
-    xu = x[g.edge_u]
-    xv = x[g.edge_v]
-    w = g.edge_w
+    edges = g.adjacency.tocoo()
+    xu = x[edges.row]
+    xv = x[edges.col]
+    w = edges.data
     pos = w > 0
     num = float((w[pos] * (xu[pos] - xv[pos]) ** 2).sum())
     num += float((-w[~pos] * (xu[~pos] + xv[~pos]) ** 2).sum())
@@ -243,9 +246,10 @@ def naive_sweep(g: SignedGraph, x) -> Community:
     """
     x = _check_vector(g, x)
     thresholds = np.unique(np.abs(x[x != 0.0]))[::-1]
-    xu = x[g.edge_u]
-    xv = x[g.edge_v]
-    w = g.edge_w
+    edges = g.adjacency.tocoo()
+    xu = x[edges.row]
+    xv = x[edges.col]
+    w = edges.data
     aw = np.abs(w)
     pos = w > 0
     deg = g.degrees
@@ -347,7 +351,8 @@ def _enumerate_min(g, s1, s2, k):
     base[sorted(s1)] = 1
     base[sorted(s2)] = -1
 
-    eu, ev, w = g.edge_u, g.edge_v, g.edge_w
+    edges = g.adjacency.tocoo()
+    eu, ev, w = edges.row, edges.col, edges.data
     aw = np.abs(w)
     pos = w > 0
 

@@ -95,11 +95,18 @@ def build_sweep_table(g: SignedGraph, x) -> SweepTable:
     rank = np.full(g.node_count, nz, dtype=np.int32)  # zeros stay unranked
     rank[order_abs] = np.arange(nz, dtype=np.int32)
 
-    hi = np.maximum(rank[g.edge_u], rank[g.edge_v])
+    # an edge (u, v) of U is an entry of row u and column v
+    adj = g.adjacency
+    row_size = np.diff(adj.indptr)
+    hi = np.repeat(rank, row_size)
+    np.maximum(hi, rank.take(adj.indices), out=hi)
+    hi += 1  # the first prefix the edge is inside
     positive = x > 0
-    charge = edge_charge(g.edge_w, positive[g.edge_u] == positive[g.edge_v])
+    same_side = np.repeat(positive, row_size)
+    np.equal(same_side, positive.take(adj.indices), out=same_side)
+    charge = edge_charge(adj.data, same_side)
     # bin nz + 1 collects the edges touching a zero entry, never inside
-    charge = np.bincount(hi + 1, weights=charge, minlength=nz + 2)[: nz + 1]
+    charge = np.bincount(hi, weights=charge, minlength=nz + 2)[: nz + 1]
     vol_abs = np.concatenate([[0.0], np.cumsum(g.degrees[order_abs])])
     numerator = vol_abs + np.cumsum(charge)
 

@@ -35,8 +35,8 @@ def scratch_beta(g, c1, c2):
     c1, c2 = set(c1), set(c2)
     union = c1 | c2
     num = 0.0
-    for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
-        u, v = int(u), int(v)
+    edges = g.adjacency.tocoo()
+    for u, v, w in zip(edges.row.tolist(), edges.col.tolist(), edges.data.tolist()):
         if w > 0 and ((u in c1 and v in c2) or (u in c2 and v in c1)):
             num += 2 * w
         if w < 0 and ((u in c1 and v in c1) or (u in c2 and v in c2)):
@@ -57,8 +57,8 @@ def make_random_graph(n, extra, seed, weighted=False, neg_fraction=0.5):
 def assert_same_graph(g, ref):
     """Same labels, edges, degrees and volume, bit for bit."""
     assert g.labels == ref.labels
-    for name in ("edge_u", "edge_v", "edge_w"):
-        a, b = getattr(g, name), getattr(ref, name)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(g.adjacency, name), getattr(ref.adjacency, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     deg, _ = naive_degrees(ref)
     assert np.array_equal(g.degrees, deg)

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion below runs at its stated tolerance and
 prints one PASS/FAIL line (visible with ``pytest -s``)."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -38,7 +39,8 @@ def _report(num, name, ok, detail=""):
 
 def _scratch_threshold_beta(g, x, t):
     """Independent per-threshold recount used as the sweep oracle."""
-    xu, xv, w = x[g.edge_u], x[g.edge_v], g.edge_w
+    e = g.adjacency.tocoo()
+    xu, xv, w = x[e.row], x[e.col], e.data
     hi_u, hi_v = xu >= t, xv >= t
     lo_u, lo_v = xu <= -t, xv <= -t
     in_u, in_v = hi_u | lo_u, hi_v | lo_v
@@ -172,7 +174,8 @@ def _balanced_graph(n, extra, seed):
     base = make_random_graph(n, extra, seed=seed, weighted=seed % 2 == 0)
     side = np.where(np.random.default_rng(seed).random(n) < 0.5, 1.0, -1.0)
     edges = []
-    for u, v, w in zip(base.edge_u, base.edge_v, base.edge_w):
+    e = base.adjacency.tocoo()
+    for u, v, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist()):
         sign = 1.0 if side[u] == side[v] else -1.0
         edges.append((str(u), str(v), sign * abs(w)))
     return build_graph(edges), side
@@ -258,3 +261,14 @@ def test_criterion_8_experiment_determinism(tmp_path):
     ok = out1.read_bytes() == out2.read_bytes()
     _report(8, "experiment determinism", ok,
             f"({len(out1.read_bytes())} identical bytes)")
+
+
+def test_criterion_8_reference_campaign_bytes(tmp_path):
+    # Recorded with numpy 2.4.6 and scipy 1.17.1; a change that moves these
+    # bytes moves a ratio, a volume or a precision of the reference campaign.
+    out = tmp_path / "ref.csv"
+    assert main(["experiment", "--eta", "0,0.01,0.05", "--kappas", "0.5,0.9",
+                 "--graphs", "4", "--queries", "5", "--seed", "7", "--out", str(out)]) == 0
+    digest = hashlib.md5(out.read_bytes()).hexdigest()
+    _report(8, "reference campaign bytes", digest == "d54290e16daf540b4dce8c0963a8c9af",
+            f"(md5 {digest})")

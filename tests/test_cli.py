@@ -96,10 +96,12 @@ class TestBenchCommand:
         assert main(["bench", "--nodes", "2000", "--doubling"]) == 0
         doc = json.loads(capsys.readouterr().out)
         for key in ("nodes", "edges", "solve_ms", "round_ms", "doubled_nodes",
-                    "round_scaling"):
+                    "dense_round_ms", "doubled_round_ms", "round_scaling"):
             assert key in doc
         assert doc["nodes"] <= 2000 < doc["doubled_nodes"] <= 4000
         assert doc["edges"] > 0 and doc["solve_ms"] > 0 and doc["round_scaling"] > 0
+        # both sides of the ratio are timed the same way
+        assert doc["round_scaling"] == doc["doubled_round_ms"] / doc["dense_round_ms"]
 
 
 class TestOracleCheckCommand:

@@ -37,7 +37,7 @@ class TestBuildGraph:
     def test_duplicate_pairs_merge_by_sum(self):
         g = build_graph([("a", "b", 1.0), ("b", "a", 1.0)])
         assert g.edge_count == 1
-        assert g.edge_w[0] == 2.0
+        assert g.adjacency.data[0] == 2.0
         np.testing.assert_allclose(g.degrees, [2.0, 2.0])
 
     def test_cancelling_pair_dropped(self):
@@ -60,7 +60,8 @@ class TestBuildGraph:
     def test_degree_matches_recomputation(self):
         g = make_random_graph(40, 120, seed=1, weighted=True)
         recomputed = np.zeros(g.node_count)
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
+        e = g.adjacency.tocoo()
+        for u, v, w in zip(e.row, e.col, e.data):
             recomputed[u] += abs(w)
             recomputed[v] += abs(w)
         np.testing.assert_allclose(g.degrees, recomputed, rtol=1e-14)
@@ -77,11 +78,11 @@ class TestConstructor:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_adjacency_matches_the_coo_route(self, weighted):
-        g = random_signed_graph(200, 900, rng_seed=3, weighted=weighted)
-        n = g.node_count
+        n = 200
+        u, v, w = _pair_set(3, n, 900, weighted)
+        g = SignedGraph([f"n{i}" for i in range(n)], u, v, w)
         ref = sp.csr_matrix(
-            (np.concatenate([g.edge_w, g.edge_w]),
-             (np.concatenate([g.edge_u, g.edge_v]), np.concatenate([g.edge_v, g.edge_u]))),
+            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
             shape=(n, n),
         )
         ref.sum_duplicates()
@@ -95,13 +96,19 @@ class TestConstructor:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_adjacency_is_the_one_edge_store(self, weighted):
         g = random_signed_graph(200, 900, rng_seed=3, weighted=weighted)
-        assert g.adjacency.nnz == g.edge_count
-        assert np.shares_memory(g.adjacency.data, g.edge_w)
+        adj = g.adjacency
+        assert adj.nnz == g.edge_count
+        held = {name for name in type(g).__slots__
+                if isinstance(getattr(g, name), np.ndarray) or sp.issparse(getattr(g, name))}
+        assert held == {"adjacency", "degrees"}
+        arrays = {name for name, a in vars(adj).items() if isinstance(a, np.ndarray)}
+        assert arrays == {"indptr", "indices", "data"}
 
     def test_build_makes_two_sorts(self, monkeypatch):
         g = random_signed_graph(200, 900, rng_seed=3)
+        e = g.adjacency.tocoo()
         rows = [(g.labels[v], g.labels[u], w) for u, v, w in
-                zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())]
+                zip(e.row.tolist(), e.col.tolist(), e.data.tolist())]
         calls = []
         real = graph_mod._stable_sort
 
@@ -126,8 +133,7 @@ def _pair_set(seed, n, m, weighted):
 
 
 def _assert_same_arrays(g, h):
-    for name in ("edge_u", "edge_v", "edge_w", "degrees"):
-        assert np.array_equal(getattr(g, name), getattr(h, name)), name
+    assert np.array_equal(g.degrees, h.degrees)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(g.adjacency, name), getattr(h.adjacency, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -157,9 +163,10 @@ class TestEdgeOrder:
         adj = g.adjacency
         rows = np.repeat(np.arange(n), np.diff(adj.indptr))
         assert (adj.indices > rows).all()
-        assert np.array_equal(g.edge_u, rows)
-        assert np.array_equal(g.edge_v, adj.indices)
-        assert np.array_equal(g.edge_w, adj.data)
+        order = np.lexsort((v, u))
+        assert np.array_equal(rows, u[order])
+        assert np.array_equal(adj.indices, v[order])
+        assert np.array_equal(adj.data, w[order])
 
     @given(seed=st.integers(0, 10_000), pool=st.integers(1, 30), rows=st.integers(1, 300),
            weighted=st.booleans())
@@ -280,9 +287,10 @@ class TestEdgeCounts:
                 + c.neg_in_1 + c.neg_in_2 + c.boundary
             )
             union = c1 | c2
+            e = g.adjacency.tocoo()
             expected = sum(
                 abs(w)
-                for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+                for u, v, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist())
                 if u in union or v in union
             )
             assert total == pytest.approx(expected, rel=1e-13)
@@ -423,10 +431,11 @@ class TestLargestComponent:
     def test_disconnected_input_matches_reference_on_the_component(self):
         big =make_random_graph(40, 80, seed=2, weighted=True)
         small = make_random_graph(12, 10, seed=3, weighted=True)
+        b, s = big.adjacency.tocoo(), small.adjacency.tocoo()
         rows = [(f"b{u}", f"b{v}", w) for u, v, w in
-                zip(big.edge_u.tolist(), big.edge_v.tolist(), big.edge_w.tolist())]
+                zip(b.row.tolist(), b.col.tolist(), b.data.tolist())]
         rows += [(f"s{u}", f"s{v}", w) for u, v, w in
-                 zip(small.edge_u.tolist(), small.edge_v.tolist(), small.edge_w.tolist())]
+                 zip(s.row.tolist(), s.col.tolist(), s.data.tolist())]
         order = np.random.default_rng(4).permutation(len(rows))
         rows = [rows[i] for i in order]
         sub, dropped_nodes, dropped_edges = largest_component(build_graph(rows))

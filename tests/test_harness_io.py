@@ -10,7 +10,6 @@ from signedpolar import (
     IngestError,
     SignedGraph,
     community,
-    filter_overlaps,
     ingest,
     query,
     random_signed_graph,
@@ -60,13 +59,13 @@ class TestIngest:
         # the reciprocal pair averages to zero and is dropped
         assert g.edge_count == 1
         assert set(g.labels) == {"a", "c"}
-        assert g.edge_w[0] == 1.0  # one-directional entry contributes w/2
+        assert g.adjacency.data[0] == 1.0  # one-directional entry contributes w/2
 
     def test_directed_averages_reciprocal(self, tmp_path):
         path = tmp_path / "d.edges"
         path.write_text("a b 3\nb a 1\n")
         g = ingest(path, directed=True)
-        assert g.edge_w[0] == 2.0
+        assert g.adjacency.data[0] == 2.0
 
     def test_disconnected_keeps_heavier_component(self, tmp_path, caplog):
         path = tmp_path / "two.edges"
@@ -87,22 +86,25 @@ class TestIngest:
         # quarter-integer weights print exactly in write_edge_list's format
         rng = np.random.default_rng(seed)
         base = random_signed_graph(60, 200, rng_seed=seed)
-        w = base.edge_w * rng.integers(1, 40, base.edge_count) / 4
-        g = SignedGraph(base.labels, base.edge_u, base.edge_v, w)
+        e = base.adjacency.tocoo()
+        w = e.data * rng.integers(1, 40, e.nnz) / 4
+        g = SignedGraph(base.labels, e.row, e.col, w)
         path = tmp_path / "rt.edges"
         write_edge_list(path, g)
         rows = read_edge_list(path)
         # the file lists the edges in (u, v) order, which numbers a re-read
         # graph's nodes
+        e = g.adjacency.tocoo()
         assert [(rows.labels[a], rows.labels[b]) for a, b in zip(rows.u, rows.v)] == [
-            (g.labels[a], g.labels[b]) for a, b in zip(g.edge_u, g.edge_v)
+            (g.labels[a], g.labels[b]) for a, b in zip(e.row, e.col)
         ]
         h = ingest(path)
 
         def labelled(x):
+            e = x.adjacency.tocoo()
             return {
                 frozenset((x.labels[a], x.labels[b])): c
-                for a, b, c in zip(x.edge_u.tolist(), x.edge_v.tolist(), x.edge_w.tolist())
+                for a, b, c in zip(e.row.tolist(), e.col.tolist(), e.data.tolist())
             }
 
         assert labelled(h) == labelled(g)
@@ -110,13 +112,14 @@ class TestIngest:
     def test_roundtrip_keeps_every_float_weight(self, tmp_path):
         rng = np.random.default_rng(4)
         base = random_signed_graph(60, 200, rng_seed=4)
-        w = base.edge_w * rng.uniform(0.5, 2.0, base.edge_count)
-        w *= 10.0 ** rng.integers(-12, 12, base.edge_count)
+        e = base.adjacency.tocoo()
+        w = e.data * rng.uniform(0.5, 2.0, e.nnz)
+        w *= 10.0 ** rng.integers(-12, 12, e.nnz)
         w[0] = 0.1 + 0.2  # 0.30000000000000004, which 12 digits print as 0.3
-        g = SignedGraph(base.labels, base.edge_u, base.edge_v, w)
+        g = SignedGraph(base.labels, e.row, e.col, w)
         path = tmp_path / "rt.edges"
         write_edge_list(path, g)
-        assert read_edge_list(path).w.tobytes() == g.edge_w.tobytes()
+        assert read_edge_list(path).w.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("bad", ["New York", "a#b", "x\xa0y", "", " a"])
     def test_unwritable_label_raises_before_the_file_is_made(self, tmp_path, bad):
@@ -214,9 +217,10 @@ class TestSeedSampling:
         g = random_signed_graph(30, 90, rng_seed=seed, weighted=weighted)
         _, pos = naive_degrees(g)
         t = float(np.quantile(pos, q))
+        e = g.adjacency.tocoo()
         expected = {
             (g.labels[a], g.labels[b])
-            for a, b, w in zip(g.edge_u, g.edge_v, g.edge_w)
+            for a, b, w in zip(e.row, e.col, e.data)
             if w < 0 and pos[a] >= t and pos[b] >= t
         }
         if not expected:
@@ -224,35 +228,6 @@ class TestSeedSampling:
                 sample_seed_pairs(g, t=t, count=g.edge_count)
         else:
             assert set(sample_seed_pairs(g, t=t, count=g.edge_count)) == expected
-
-
-class TestFilterOverlaps:
-    def test_overlapping_dropped(self, t3):
-        a = community(t3, {0, 1}, {2})
-        b = community(t3, {1}, {2})
-        kept = filter_overlaps([a, b], rng_seed=0)
-        assert len(kept) == 1
-
-    def test_disjoint_all_kept(self):
-        from signedpolar import build_graph
-
-        g = build_graph([("a", "b", -1.0), ("c", "d", -1.0), ("b", "c", 1.0)])
-        comms = [community(g, {0}, {1}), community(g, {2}, {3})]
-        assert len(filter_overlaps(comms, rng_seed=3)) == 2
-
-    def test_survivors_always_disjoint(self, t3):
-        comms = [
-            community(t3, {0}, {2}),
-            community(t3, {0, 1}, {2}),
-            community(t3, {1}, set()),
-        ]
-        for seed in range(6):
-            kept = filter_overlaps(comms, rng_seed=seed)
-            seen = set()
-            for c in kept:
-                members = set(c.c1) | set(c.c2)
-                assert not (members & seen)
-                seen |= members
 
 
 class TestExperiment:

@@ -162,7 +162,7 @@ class TestReferenceEquivalence:
         # (1e16 + 1) + 1 == 1e16, but 1e16 + (1 + 1) does not
         path = tmp_path / "g.edges"
         path.write_text("a b 1e16\nb a 1\na b 1\nb c 1\n")
-        assert _fast(path).edge_w[0] == 1e16
+        assert _fast(path).adjacency.data[0] == 1e16
         assert_matches_reference(path)
 
     def test_one_pair_repeated_many_times(self, tmp_path):
@@ -389,10 +389,11 @@ def _generated_file(tmp_path):
     """A weighted random graph written with reversed and split duplicate
     rows, so the merge has work to do."""
     g = random_signed_graph(3_000, 30_000, rng_seed=6, weighted=True)
+    e = g.adjacency.tocoo()
     rows = [f"{g.labels[u]} {g.labels[v]} {w!r}" for u, v, w in
-            zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())]
+            zip(e.row.tolist(), e.col.tolist(), e.data.tolist())]
     rows += [f"{g.labels[v]} {g.labels[u]} 0.25" for u, v in
-             zip(g.edge_u[::7].tolist(), g.edge_v[::7].tolist())]
+             zip(e.row[::7].tolist(), e.col[::7].tolist())]
     path = tmp_path / "gen.edges"
     path.write_text("\n".join(rows) + "\n")
     return path
@@ -406,9 +407,10 @@ class TestLeanBuild:
         assert_same_graph(g, naive_build_graph(naive_read_edge_list(path)))
         # the adjacency the COO route builds, with duplicates summed
         n, m = g.node_count, g.edge_count
+        e = g.adjacency.tocoo()
         ref = sp.csr_matrix(
-            (np.concatenate([g.edge_w, g.edge_w]),
-             (np.concatenate([g.edge_u, g.edge_v]), np.concatenate([g.edge_v, g.edge_u]))),
+            (np.concatenate([e.data, e.data]),
+             (np.concatenate([e.row, e.col]), np.concatenate([e.col, e.row]))),
             shape=(n, n),
         )
         ref.sum_duplicates()
@@ -421,7 +423,9 @@ class TestLeanBuild:
 
     def test_ingest_peak_is_a_small_multiple_of_the_graph(self, tmp_path, monkeypatch):
         # With the file in many blocks, ingest holds about one graph's worth
-        # of temporaries at a time: about 2x the graph's arrays in all.
+        # of temporaries at a time. They include int64 endpoint columns, 16
+        # bytes an edge beyond the graph's own U and degrees, so the
+        # allowance is 2.5x both.
         monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 16)
         path = _generated_file(tmp_path)
         tracemalloc.start()
@@ -431,6 +435,5 @@ class TestLeanBuild:
         finally:
             tracemalloc.stop()
         adj = g.adjacency
-        assert np.shares_memory(adj.data, g.edge_w)  # one buffer, counted once
-        arrays = (g.edge_u, g.edge_v, g.edge_w, g.degrees, adj.indices, adj.indptr)
-        assert peak <= 2.5 * sum(a.nbytes for a in arrays)
+        arrays = (adj.data, adj.indices, adj.indptr, g.degrees)
+        assert peak <= 2.5 * (sum(a.nbytes for a in arrays) + 16 * g.edge_count)

@@ -112,8 +112,9 @@ class TestEdgeCharge:
         g = make_random_graph(n, int(rng.integers(0, 3 * n)), seed=seed % 997,
                               weighted=True, neg_fraction=neg_fraction)
         positive = rng.random(n) < 0.5
-        same_side = positive[g.edge_u] == positive[g.edge_v]
-        w = g.edge_w
+        e = g.adjacency.tocoo()
+        same_side = positive[e.row] == positive[e.col]
+        w = e.data
         agree = same_side == (w > 0)
         ref = np.where(agree, -2.0 * np.abs(w), np.minimum(w, 0.0))
         # same floats, sign bits of zeros included

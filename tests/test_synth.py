@@ -13,9 +13,10 @@ from signedpolar.oracle import beta
 
 
 def edge_set(g):
+    e = g.adjacency.tocoo()
     return {
         (g.labels[u], g.labels[v], w)
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+        for u, v, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist())
     }
 
 
@@ -35,8 +36,8 @@ class TestGenerate:
         g, truth = generate(SynthParams(pairs=1, band_size=3, eta=0.0, rng_seed=0))
         assert g.node_count == 6
         # two positive 3-cliques joined by 9 negative edges
-        pos = int((g.edge_w > 0).sum())
-        neg = int((g.edge_w < 0).sum())
+        pos = int((g.adjacency.data > 0).sum())
+        neg = int((g.adjacency.data < 0).sum())
         assert (pos, neg) == (6, 9)
         b1, b2 = truth.pairs[0]
         idx1 = [g.index_of(lab) for lab in b1]
@@ -64,9 +65,10 @@ class TestGenerate:
         g, truth = generate(params)
         band = set(next(iter(truth.pairs))[0])
         idx = {g.index_of(lab) for lab in band if lab in g.label_index}
+        e = g.adjacency.tocoo()
         within_pos = sum(
             1
-            for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+            for u, v, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist())
             if w > 0 and u in idx and v in idx
         )
         assert within_pos == 0
@@ -86,6 +88,7 @@ class TestGenerate:
             p = SynthParams(pairs=8, band_size=20, eta=eta, rng_seed=seed)
             g, truth = generate(p)
             lab2idx = g.label_index
+            e = g.adjacency.tocoo()
             for b1, b2 in truth.pairs:
                 for band in (b1, b2):
                     ids = sorted(lab2idx[lab] for lab in band)
@@ -93,7 +96,7 @@ class TestGenerate:
                     got_pairs += len(ids) * (len(ids) - 1) // 2
                     got_pos += sum(
                         1
-                        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+                        for u, v, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist())
                         if w > 0 and u in idset and v in idset
                     )
         frac = got_pos / got_pairs
@@ -110,7 +113,8 @@ class TestGenerate:
         band1, band2 = truth.pairs[0]
         ids1 = {lab2idx[lab] for lab in band1 if lab in lab2idx}
         counts = {"pos": 0, "neg": 0}
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
+        e = g.adjacency.tocoo()
+        for u, v, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist()):
             if u in ids1 and v in ids1:
                 counts["pos" if w > 0 else "neg"] += 1
         npairs = len(ids1) * (len(ids1) - 1) // 2
