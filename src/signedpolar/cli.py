@@ -20,6 +20,8 @@ import numpy as np
 
 from .graph import GraphError
 from .harness import (
+    DEFAULT_EPS,
+    DEFAULT_KAPPA,
     ExperimentConfig,
     experiment_csv,
     query,
@@ -47,7 +49,6 @@ EXIT_SOLVER = 3
 
 EPS_HELP = ("bound on |c - kappa| for the solution's seed correlation c; "
             "it also sets how long Lanczos runs on graphs above 512 nodes")
-CG_TOL_HELP = "relative residual of the one certifying CG solve"
 
 
 class _UsageError(Exception):
@@ -89,11 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--directed", action="store_true")
     q.add_argument("--s1", type=_labels_arg, default=())
     q.add_argument("--s2", type=_labels_arg, default=())
-    q.add_argument("--kappa", type=float, default=0.9)
+    q.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     q.add_argument("--k", type=_budget_arg, default=None,
                    help="volume budget k > 1; sets kappa = sqrt(1/k)")
-    q.add_argument("--eps", type=float, default=1e-3, help=EPS_HELP)
-    q.add_argument("--cg-tol", type=float, default=1e-8, help=CG_TOL_HELP)
+    q.add_argument("--eps", type=float, default=DEFAULT_EPS, help=EPS_HELP)
     q.add_argument("--emit-vector", action="store_true")
     q.add_argument("--out", default=None)
 
@@ -109,14 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="parameter-grid campaign to CSV")
     e.add_argument("--eta", type=_floats_arg, default=(0.05,))
     e.add_argument("--seed-sizes", type=_ints_arg, default=(2,))
-    e.add_argument("--kappas", type=_floats_arg, default=(0.9,))
+    e.add_argument("--kappas", type=_floats_arg, default=(DEFAULT_KAPPA,))
     e.add_argument("--pairs", type=int, default=8)
     e.add_argument("--band-size", type=int, default=20)
     e.add_argument("--outliers", type=int, default=0)
     e.add_argument("--graphs", type=int, default=10)
     e.add_argument("--queries", type=int, default=10)
-    e.add_argument("--eps", type=float, default=1e-3, help=EPS_HELP)
-    e.add_argument("--cg-tol", type=float, default=1e-8, help=CG_TOL_HELP)
+    e.add_argument("--eps", type=float, default=DEFAULT_EPS, help=EPS_HELP)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--timings", action="store_true",
                    help="append wall-time columns (breaks byte determinism)")
@@ -132,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--nodes", type=int, default=100_000)
     b.add_argument("--avg-degree", type=float, default=None)
     b.add_argument("--eta", type=float, default=0.05)
-    b.add_argument("--kappa", type=float, default=0.9)
-    b.add_argument("--cg-tol", type=float, default=1e-8, help=CG_TOL_HELP)
+    b.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--doubling", action="store_true",
                    help="also time the rounding step on a dense vector, here "
@@ -158,7 +156,6 @@ def _cmd_query(args) -> int:
         args.s2,
         kappa=kappa,
         eps=args.eps,
-        cg_tol=args.cg_tol,
         emit_vector=args.emit_vector,
     )
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -194,7 +191,6 @@ def _cmd_experiment(args) -> int:
         graphs_per_config=args.graphs,
         queries_per_graph=args.queries,
         eps=args.eps,
-        cg_tol=args.cg_tol,
         rng_seed=args.seed,
         include_timings=args.timings,
     )
@@ -250,7 +246,7 @@ def _cmd_bench(args) -> int:
         avg_degree = reference_average_degree(ref)
     g, _ = generate_scaled(args.nodes, avg_degree, eta=args.eta, rng_seed=args.seed)
     pair = sample_seed_pairs(g, t=0.0, count=1, rng_seed=args.seed)[0]
-    timings = query(g, [pair[0]], [pair[1]], kappa=args.kappa, cg_tol=args.cg_tol)["timings"]
+    timings = query(g, [pair[0]], [pair[1]], kappa=args.kappa)["timings"]
     solve_ms, round_ms = timings["solve_ms"], timings["round_ms"]
     doc = {
         "nodes": g.node_count,

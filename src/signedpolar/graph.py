@@ -31,10 +31,9 @@ class SignedGraph:
 
     Nodes are dense indices ``0..n-1``; ``labels[i]`` maps an index back to
     its external label. The constructor takes each undirected pair exactly
-    once with ``edge_u < edge_v`` (:func:`build_graph` merges duplicate
-    input pairs by summing weights to get there) and raises
-    :class:`GraphError` otherwise; pairs given in another order are sorted
-    into ``(u, v)`` order. ``adjacency`` is the strictly upper-triangular
+    once with ``edge_u < edge_v``, the pairs in ``(u, v)`` order, and raises
+    :class:`GraphError` otherwise; :func:`build_graph` takes rows in any
+    order. ``adjacency`` is the strictly upper-triangular
     CSR matrix ``U`` of the edges, so the adjacency matrix is ``U + U.T``:
     row ``u`` holds the edges ``(u, v)`` in ``v`` order, with int32 indices
     (int64 past their range). It is the one edge store; the edge triples
@@ -63,21 +62,12 @@ class SignedGraph:
         v = np.asarray(edge_v, dtype=np.int64)
         w = np.asarray(edge_w, dtype=np.float64)
         if not _in_pair_order(u, v):
-            u, v, w = u.copy(), v.copy(), w.copy()
-            _sort_pairs(u, v, w)
-            if not _in_pair_order(u, v):
-                raise GraphError("edge pairs must be distinct with edge_u < edge_v")
+            raise GraphError("edge pairs must be distinct with edge_u < edge_v, in (u, v) order")
         idx = np.int32 if max(n, len(w)) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
         self.adjacency = sp.csr_matrix((w, v.astype(idx, copy=False), indptr), shape=(n, n))
-        # bincount adds in index order and add.at goes on from there: all
-        # of U's row terms before its column terms. edge_counts sums a
-        # node's internal weights in this same order, so the two summation
-        # orders must match.
-        absw = np.abs(w)
-        self.degrees = np.bincount(u, absw, minlength=n)
-        np.add.at(self.degrees, v, absw)
+        self.degrees = _end_sums(u, v, np.abs(w), n)
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
 
@@ -135,11 +125,18 @@ def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(ahead.all() and (u < v).all())
 
 
-def _sort_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> None:
-    """Put the rows ``(lo, hi, w)`` in ``(lo, hi)`` order, in place, equal
-    pairs in row order: a stable sort by ``hi``, then one by ``lo``."""
-    _stable_sort(hi, lo, w)
-    _stable_sort(lo, hi, w)
+def _end_sums(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum each entry's weight onto both its ends: its row and its column.
+
+    ``np.bincount`` adds in index order and ``np.add.at`` goes on from
+    there, so every row term comes before every column term. Degrees,
+    :func:`edge_counts`' internal weights and the positive degrees of
+    ``harness.sample_seed_pairs`` all sum this way; the boundary of
+    :func:`edge_counts` is exact only because the orders match.
+    """
+    sums = np.bincount(rows, weights, minlength=size)
+    np.add.at(sums, cols, weights)
+    return sums
 
 
 def _components(g: SignedGraph) -> tuple[int, np.ndarray]:
@@ -226,10 +223,11 @@ class SeedVector:
 @dataclass(frozen=True, eq=False)
 class EdgeList:
     """Labeled edges as columns: row ``i`` joins ``labels[u[i]]`` and
-    ``labels[v[i]]`` with weight ``w[i]``.
+    ``labels[v[i]]`` with weight ``w[i]``, rows in any order.
 
-    Labels must be distinct. A label that no row uses is not a node of the
-    graph built from the list. ``len()`` is the number of rows.
+    Labels must be distinct. The graph built from the list keeps the list's
+    order of labels as its node order, without the labels that no row uses.
+    ``len()`` is the number of rows.
     """
 
     labels: Sequence[Label]
@@ -257,27 +255,33 @@ class EdgeList:
 def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> SignedGraph:
     """Build an immutable dense-indexed graph from a labeled edge list.
 
-    Nodes are numbered in order of first appearance (row by row, ``u``
-    before ``v``). Duplicate undirected pairs are merged by summing their
+    Nodes keep the list's order of labels; labels that no row uses are
+    dropped. Tuples are numbered by first appearance (row by row, ``u``
+    before ``v``), as :func:`~signedpolar.io.read_edge_list` numbers a
+    file's labels. Duplicate undirected pairs are merged by summing their
     weights in row order; a pair whose merged weight is exactly zero is
     dropped. The surviving pairs come out in ``(u, v)`` order, the order
-    :func:`~signedpolar.io.write_edge_list` writes them in. Self-loops and
-    zero or non-finite input weights are rejected, reporting the first
-    offending row. The build makes two sorts of the rows, both in the merge.
+    :class:`SignedGraph` takes and :func:`~signedpolar.io.write_edge_list`
+    writes them in. Self-loops and zero or non-finite input weights are
+    rejected, reporting the first offending row. The build makes two sorts
+    of the rows, both in the merge.
     """
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
-    labels, lo, hi, w = _renumber(edges)
+    labels, lo, hi, w = _check_rows(edges)
     # The edge list, unless the caller keeps it, is freed before the merge
-    # sorts the rows, and the unmerged rows before the graph's arrays are built.
+    # sorts the rows, and each unmerged column once its merged copy exists.
     del edges
-    lo, hi, w = _merge_pairs(lo, hi, w)
+    keep = _merge_pairs(lo, hi, w)
+    lo = lo[keep]
+    hi = hi[keep]
+    w = w[keep]
     return SignedGraph(labels, lo, hi, w)
 
 
-def _renumber(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Check the edge list and number its used labels by first appearance;
-    returns the labels and the rows as new ``(lo, hi, w)`` columns."""
+def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Check the edge list; returns its used labels, in list order, and the
+    rows as new ``(lo, hi, w)`` columns numbered over those labels."""
     u = np.asarray(edges.u, dtype=np.int64)
     v = np.asarray(edges.v, dtype=np.int64)
     w = np.asarray(edges.w, dtype=np.float64)
@@ -297,43 +301,35 @@ def _renumber(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray
             raise GraphError(f"self-loop on node {a!r}")
         raise GraphError(f"edge ({a!r}, {b!r}) has invalid weight {float(w[i])}")
 
-    # Renumber the used labels by first appearance in u0, v0, u1, v1, ...
-    first = np.full(nlab, 2 * m)
-    pos = np.arange(0, 2 * m, 2)
-    np.minimum.at(first, u, pos)
-    pos += 1
-    np.minimum.at(first, v, pos)
-    del pos
-    used = np.flatnonzero(first < 2 * m)
-    old_ids = used[np.argsort(first[used])]
-    new_id = np.empty(nlab, dtype=np.int64)
-    new_id[old_ids] = np.arange(len(old_ids))
-    n = len(old_ids)
-    labels = [edges.labels[i] for i in old_ids.tolist()]
-    if len(set(labels)) < n:
+    used = np.zeros(nlab, dtype=bool)
+    used[u] = True
+    used[v] = True
+    labels = [edges.labels[i] for i in np.flatnonzero(used).tolist()]
+    if len(set(labels)) < len(labels):
         raise GraphError("edge list labels are not distinct")
-
+    new_id = np.cumsum(used) - 1  # the used labels keep their order
     u = new_id[u]
     v = new_id[v]
     lo = np.minimum(u, v)
     hi = np.maximum(u, v, out=u)
-    del u, v
     return labels, lo, hi, w.copy()  # the merge sorts w in place
 
 
-def _merge_pairs(
-    lo: np.ndarray, hi: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge the rows ``(lo, hi, w)``, sorted in place, into pairs in
-    ``(lo, hi)`` order, each summed in row order; zero sums are dropped.
+def _merge_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sort the rows ``(lo, hi, w)`` in place into ``(lo, hi)`` order, equal
+    pairs in row order, and sum each repeated pair's weights into its first
+    row; returns the mask of the rows to keep, each pair's first row unless
+    its sum is zero.
 
-    Only the rows of pairs that occur twice or more are summed, by one
-    ``np.bincount`` over their run numbers. bincount adds a bin's weights
-    in index order, like a running ``+=`` from 0.0, so each sum has the
-    bits of the row-order sum; ``np.add.reduceat`` adds a run's tail
-    pairwise and can differ in the last bit.
+    The sort is a stable one by ``hi``, then one by ``lo``. Only the rows
+    of pairs that occur twice or more are summed, by one ``np.bincount``
+    over their run numbers. bincount adds a bin's weights in index order,
+    like a running ``+=`` from 0.0, so each sum has the bits of the
+    row-order sum; ``np.add.reduceat`` adds a run's tail pairwise and can
+    differ in the last bit.
     """
-    _sort_pairs(lo, hi, w)
+    _stable_sort(hi, lo, w)
+    _stable_sort(lo, hi, w)
     head = np.empty(len(w), dtype=bool)  # the first row of each pair
     head[0] = True
     np.not_equal(lo[1:], lo[:-1], out=head[1:])
@@ -344,7 +340,7 @@ def _merge_pairs(
     head &= w != 0
     if not head.any():
         raise GraphError("all edges cancelled during merging")
-    return lo[head], hi[head], w[head]
+    return head
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
@@ -368,10 +364,9 @@ def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     union is seen once, from the row of its lower endpoint. A boundary edge
     may lie in a row outside the union, so the boundary is summed per node:
     ``max(deg[r] - inner[r], 0)`` over the union, ``inner[r]`` being node
-    ``r``'s internal ``|w|``. ``inner`` is summed in the order
-    :class:`SignedGraph` sums ``degrees`` (over ``U``'s rows, then over its
-    columns), and the two summation orders must match: then a node without an
-    outside neighbour adds exactly 0, and a whole-graph split has boundary 0.
+    ``r``'s internal ``|w|``. ``inner`` and ``degrees`` are both summed by
+    :func:`_end_sums`, so a node without an outside neighbour adds exactly 0,
+    and a whole-graph split has boundary 0.
     """
     side = _membership(g, c1, c2)
     rows = np.flatnonzero(side)
@@ -397,9 +392,7 @@ def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     cls += w > 0
     # a class holds weights of one sign, so |sum| is the sum of |w|
     c = np.abs(np.bincount(cls, w, minlength=8)).reshape(2, 2, 2)
-    absw = np.abs(w)
-    inner = np.bincount(k, absw, minlength=len(rows))
-    np.add.at(inner, j, absw)
+    inner = _end_sums(k, j, np.abs(w), len(rows))
     return EdgeCounts(
         pos_across=float(c[0, 1, 1] + c[1, 0, 1]),
         neg_in_1=float(c[0, 0, 0]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Community, GraphError, SignedGraph, community, seed_vector
+from .graph import Community, GraphError, SignedGraph, _end_sums, community, seed_vector
 from .metrics import metric_report
 from .spectral import solve_seeded
 from .sweep import fast_sweep
@@ -37,7 +37,6 @@ class ExperimentConfig:
     graphs_per_config: int = 10
     queries_per_graph: int = 10
     eps: float = DEFAULT_EPS
-    cg_tol: float = 1e-8
     rng_seed: int = 0
     include_timings: bool = False
 
@@ -48,7 +47,6 @@ def query(
     s2_labels,
     kappa: float = DEFAULT_KAPPA,
     eps: float = DEFAULT_EPS,
-    cg_tol: float = 1e-8,
     emit_vector: bool = False,
     truth: Community | None = None,
 ) -> dict:
@@ -66,7 +64,7 @@ def query(
     s = seed_vector(g, s1, s2)
 
     t0 = time.perf_counter()
-    sol = solve_seeded(g, s, kappa=kappa, eps=eps, cg_tol=cg_tol)
+    sol = solve_seeded(g, s, kappa=kappa, eps=eps)  # CG to spectral.DEFAULT_CG_TOL
     t1 = time.perf_counter()
     comm = fast_sweep(g, sol.x)
     t2 = time.perf_counter()
@@ -120,9 +118,7 @@ def sample_seed_pairs(
         raise ValueError("threshold t must be nonnegative")
     edges = g.adjacency.tocoo()
     u, v, w = edges.row, edges.col, edges.data
-    posw = np.maximum(w, 0.0)  # positive degrees, summed like g.degrees
-    pos = np.bincount(u, posw, minlength=g.node_count)
-    np.add.at(pos, v, posw)
+    pos = _end_sums(u, v, np.maximum(w, 0.0), g.node_count)  # positive degrees
     ok = (w < 0) & (pos[u] >= t) & (pos[v] >= t)
     idx = np.flatnonzero(ok)
     if len(idx) == 0:
@@ -237,7 +233,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         s2,
                         kappa=kappa,
                         eps=config.eps,
-                        cg_tol=config.cg_tol,
                         truth=truth_comm,
                     )
                 except Exception:

@@ -154,7 +154,7 @@ def naive_build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGrap
         raise GraphError("empty edge list")
 
     eu, ev, ew = [], [], []
-    for (i, j), w in merged.items():
+    for (i, j), w in sorted(merged.items()):
         if w == 0.0:
             continue
         eu.append(i)

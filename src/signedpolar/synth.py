@@ -192,7 +192,7 @@ def random_signed_graph(
     m = len(eu)
     mag = rng.uniform(0.5, 2.0, size=m) if weighted else np.ones(m)
     sgn = np.where(rng.random(m) < neg_fraction, -1.0, 1.0)
-    return SignedGraph(labels, eu, ev, mag * sgn)
+    return build_graph(EdgeList(labels, np.array(eu), np.array(ev), mag * sgn))
 
 
 def generate_scaled(
@@ -231,8 +231,9 @@ def generate_scaled(
     target_edges = int(round(n * avg_degree / 2.0))
     budget = max(0, target_edges - len(eu))
     if budget:
-        # Oversample, canonicalize, and drop duplicates/self-pairs/planted
-        # collisions; order within np.unique is deterministic.
+        # Oversample, canonicalize, and drop self-pairs, planted collisions
+        # and duplicates; the smallest keys are kept. Sorting drops the
+        # duplicates in a fraction of np.unique's time on int64 keys.
         cand = rng.integers(0, n, size=(int(budget * 1.15) + 16, 2))
         cand = cand[cand[:, 0] != cand[:, 1]]
         lo_i = np.minimum(cand[:, 0], cand[:, 1]).astype(np.int64)
@@ -240,7 +241,8 @@ def generate_scaled(
         key = lo_i * n + hi_i
         in_planted = (lo_i < planted) & (hi_i < planted)
         key = key[~in_planted]
-        key = np.unique(key)[:budget]
+        key.sort()
+        key = key[np.diff(key, prepend=-1) > 0][:budget]  # keys are >= 0
         bu = key // n
         bv = key % n
         bsign = np.where(rng.random(len(key)) < 0.5, 1.0, -1.0)
@@ -248,4 +250,4 @@ def generate_scaled(
         ev = np.concatenate([ev, bv])
         ew = np.concatenate([ew, bsign])
 
-    return _with_truth(SignedGraph(labels, eu, ev, ew), labels, pairs, m, ())
+    return _with_truth(build_graph(EdgeList(labels, eu, ev, ew)), labels, pairs, m, ())

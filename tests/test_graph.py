@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedpolar import (
+    EdgeList,
     GraphError,
     SignedGraph,
     build_graph,
@@ -70,7 +71,8 @@ class TestBuildGraph:
 class TestConstructor:
     @pytest.mark.parametrize(
         "u, v",
-        [([0, 1, 0], [1, 2, 1]), ([0, 1], [1, 0]), ([0, 2], [1, 1]), ([1], [1]), ([0, 2], [1, 0])],
+        [([0, 1, 0], [1, 2, 1]), ([0, 1], [1, 0]), ([0, 2], [1, 1]), ([1], [1]), ([0, 2], [1, 0]),
+         ([1, 0], [2, 1])],  # the last: distinct pairs, each u < v, not in (u, v) order
     )
     def test_pairs_must_be_distinct_and_ordered(self, u, v):
         with pytest.raises(GraphError, match="distinct with edge_u < edge_v"):
@@ -80,12 +82,15 @@ class TestConstructor:
     def test_adjacency_matches_the_coo_route(self, weighted):
         n = 200
         u, v, w = _pair_set(3, n, 900, weighted)
-        g = SignedGraph([f"n{i}" for i in range(n)], u, v, w)
+        g = build_graph(EdgeList([f"n{i}" for i in range(n)], u, v, w))
         ref = sp.csr_matrix(
             (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
             shape=(n, n),
         )
         ref.sum_duplicates()
+        used = np.unique(np.concatenate([u, v]))  # unused labels are dropped
+        assert g.labels == tuple(f"n{i}" for i in used)
+        ref = ref[used][:, used]
         upper = sp.triu(ref, k=1, format="csr")
         adj = g.adjacency
         assert adj.indices.dtype == np.int32 and adj.has_sorted_indices
@@ -149,23 +154,26 @@ class TestEdgeOrder:
     def test_any_permutation_gives_the_same_graph(self, seed, n, m, weighted):
         u, v, w = _pair_set(seed, n, m, weighted)
         labels = [f"n{i}" for i in range(n)]
-        g = SignedGraph(labels, u, v, w)
+        g = build_graph(EdgeList(labels, u, v, w))
         perm = np.random.default_rng(seed + 1).permutation(len(w))
-        _assert_same_arrays(g, SignedGraph(labels, u[perm], v[perm], w[perm]))
         order = np.lexsort((v, u))
-        _assert_same_arrays(g, SignedGraph(labels, u[order], v[order], w[order]))
+        for rows in (perm, order):
+            h = build_graph(EdgeList(labels, u[rows], v[rows], w[rows]))
+            assert h.labels == g.labels
+            _assert_same_arrays(g, h)
 
     @given(**_pair_sets)
     @settings(max_examples=60, deadline=None)
     def test_edges_are_the_upper_triangle_in_csr_order(self, seed, n, m, weighted):
         u, v, w = _pair_set(seed, n, m, weighted)
-        g = SignedGraph([f"n{i}" for i in range(n)], u, v, w)
+        g = build_graph(EdgeList([f"n{i}" for i in range(n)], u, v, w))
         adj = g.adjacency
-        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+        rows = np.repeat(np.arange(g.node_count), np.diff(adj.indptr))
         assert (adj.indices > rows).all()
+        old = np.array([int(lab[1:]) for lab in g.labels])  # each node's list index
         order = np.lexsort((v, u))
-        assert np.array_equal(rows, u[order])
-        assert np.array_equal(adj.indices, v[order])
+        assert np.array_equal(old[rows], u[order])
+        assert np.array_equal(old[adj.indices], v[order])
         assert np.array_equal(adj.data, w[order])
 
     @given(seed=st.integers(0, 10_000), pool=st.integers(1, 30), rows=st.integers(1, 300),

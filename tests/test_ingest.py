@@ -320,12 +320,18 @@ class TestErrors:
         assert ":2: byte 0xff" in capsys.readouterr().err
 
 
+def _weights_by_label_pair(g):
+    e = g.adjacency.tocoo()
+    return {frozenset((g.labels[a], g.labels[b])): w
+            for a, b, w in zip(e.row.tolist(), e.col.tolist(), e.data.tolist())}
+
+
 class TestBuilderInputs:
-    def test_edge_list_relabels_by_first_appearance(self):
+    def test_edge_list_keeps_label_order_without_unused_labels(self):
         edges = EdgeList(["x", "y", "z", "unused"], np.array([2, 0]), np.array([0, 1]),
                          np.array([1.0, -2.0]))
         g = build_graph(edges)
-        ref = naive_build_graph([("z", "x", 1.0), ("x", "y", -2.0)])
+        ref = naive_build_graph([("x", "y", -2.0), ("z", "x", 1.0)])
         assert_same_graph(g, ref)
 
     def test_edge_list_index_out_of_range(self):
@@ -359,10 +365,18 @@ class TestBuilderInputs:
             patch.setattr(synth_mod, "build_graph", capture)
             generate(SynthParams(pairs=2, band_size=4, outliers=3, eta=eta, rng_seed=seed))
         (edges,) = seen
-        # the (label, label, float) tuples that generate used to pass
+        g = build_graph(edges)
+        used = set(edges.u.tolist()) | set(edges.v.tolist())
+        assert g.labels == tuple(lab for i, lab in enumerate(edges.labels) if i in used)
+        # the (label, label, float) tuples that generate used to pass number
+        # the nodes by first appearance: the same graph keyed by label
         rows = [(edges.labels[a], edges.labels[b], float(w))
                 for a, b, w in zip(edges.u, edges.v, edges.w)]
-        assert_same_graph(build_graph(edges), naive_build_graph(rows))
+        ref = naive_build_graph(rows)
+        assert set(g.labels) == set(ref.labels)
+        assert _weights_by_label_pair(g) == _weights_by_label_pair(ref)
+        deg, _ = naive_degrees(ref)
+        assert dict(zip(g.labels, g.degrees.tolist())) == dict(zip(ref.labels, deg.tolist()))
 
 
 class TestConnectivityMemo:
