@@ -30,7 +30,12 @@ from .harness import (
 )
 from .io import IngestError, ingest, write_edge_list, write_ground_truth
 from .metrics import MetricError
-from .oracle import OracleError, verify_approximation, verify_relaxation
+from .oracle import (
+    BRUTE_FORCE_NODE_LIMIT,
+    OracleError,
+    verify_approximation,
+    verify_relaxation,
+)
 from .spectral import SolverError
 from .sweep import fast_sweep
 from .synth import (
@@ -46,6 +51,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
+
+ORACLE_MIN_NODES = 6  # the smallest random instance oracle-check draws
 
 EPS_HELP = ("bound on |c - kappa| for the solution's seed correlation c; "
             "it also sets how long Lanczos runs on graphs above 512 nodes")
@@ -81,6 +88,22 @@ def _budget_arg(text: str) -> float:
     return k
 
 
+def _count_arg(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return n
+
+
+def _max_nodes_arg(text: str) -> int:
+    n = int(text)
+    if not ORACLE_MIN_NODES <= n <= BRUTE_FORCE_NODE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{ORACLE_MIN_NODES}, {BRUTE_FORCE_NODE_LIMIT}], got {text}"
+        )
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="signedpolar", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -113,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--pairs", type=int, default=8)
     e.add_argument("--band-size", type=int, default=20)
     e.add_argument("--outliers", type=int, default=0)
-    e.add_argument("--graphs", type=int, default=10)
-    e.add_argument("--queries", type=int, default=10)
+    e.add_argument("--graphs", type=_count_arg, default=10)
+    e.add_argument("--queries", type=_count_arg, default=10)
     e.add_argument("--eps", type=float, default=DEFAULT_EPS, help=EPS_HELP)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--timings", action="store_true",
@@ -123,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle-check",
                        help="verify the provable bounds on small instances")
-    o.add_argument("--instances", type=int, default=30)
-    o.add_argument("--max-nodes", type=int, default=12)
+    o.add_argument("--instances", type=_count_arg, default=30)
+    o.add_argument("--max-nodes", type=_max_nodes_arg, default=12)
     o.add_argument("--seed", type=int, default=0)
 
     b = sub.add_parser("bench", help="timing smoke test on a synthetic graph")
@@ -203,7 +226,7 @@ def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     violations = 0
     for i in range(args.instances):
-        n = int(rng.integers(6, args.max_nodes + 1))
+        n = int(rng.integers(ORACLE_MIN_NODES, args.max_nodes + 1))
         g = random_signed_graph(
             n, extra_edges=int(rng.integers(n, 3 * n)),
             rng_seed=int(rng.integers(2**63)),

@@ -145,27 +145,6 @@ def _components(g: SignedGraph) -> tuple[int, np.ndarray]:
     return connected_components(g.adjacency, directed=False)
 
 
-def _node_indices(g: SignedGraph, nodes: Iterable[int]) -> np.ndarray:
-    """Validate a collection of node indices against ``g``; return them
-    sorted and without repeats (by sorting: ``np.unique`` is slower here)."""
-    if isinstance(nodes, np.ndarray):
-        idx = nodes.astype(np.int64)
-    else:
-        idx = np.fromiter(nodes, dtype=np.int64)
-    idx.sort()
-    if not idx.size:
-        return idx
-    if idx[0] < 0 or idx[-1] >= g.node_count:
-        bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise GraphError(f"node index {bad} out of range [0, {g.node_count})")
-    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
-
-
-def as_node_set(g: SignedGraph, nodes: Iterable[int]) -> frozenset[int]:
-    """Validate a collection of node indices against ``g`` and freeze it."""
-    return frozenset(_node_indices(g, nodes).tolist())
-
-
 @dataclass(frozen=True)
 class EdgeCounts:
     """Absolute-weight totals of the edge classes induced by (c1, c2).
@@ -214,10 +193,10 @@ class SeedVector:
 
     Entries are ``+1/sqrt(vol(S))`` on the first set, ``-1/sqrt(vol(S))`` on
     the second, zero elsewhere, which makes ``values @ (deg * values) == 1``.
+    The seeds are ``np.flatnonzero(values)``.
     """
 
     values: np.ndarray
-    support: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,14 +323,23 @@ def _merge_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
-    c1 = _node_indices(g, c1)
-    c2 = _node_indices(g, c2)
+    """The int8 side vector of two node collections: +1 on ``c1``, -1 on
+    ``c2``, 0 elsewhere. Each is any iterable or integer array of node
+    indices, repeats allowed, order irrelevant. This is the one check of
+    node indices: one outside ``[0, n)`` or in both raises :class:`GraphError`.
+    """
     side = np.zeros(g.node_count, dtype=np.int8)
-    side[c1] = 1
-    both = c2[side[c2] == 1]
-    if both.size:
-        raise GraphError(f"bands overlap on nodes {both.tolist()}")
-    side[c2] = -1
+    for nodes, mark in ((c1, 1), (c2, -1)):
+        if not isinstance(nodes, np.ndarray):
+            nodes = np.fromiter(nodes, dtype=np.int64)
+        idx = nodes.astype(np.int64, copy=False)
+        bad = idx[(idx < 0) | (idx >= g.node_count)]
+        if bad.size:
+            raise GraphError(f"node index {bad[0]} out of range [0, {g.node_count})")
+        both = idx[side[idx] != 0]
+        if both.size:
+            raise GraphError(f"the two node sets overlap on nodes {np.unique(both).tolist()}")
+        side[idx] = mark
     return side
 
 
@@ -405,13 +393,18 @@ def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
 
 
 def community(g: SignedGraph, c1, c2) -> Community:
-    """Assemble a :class:`Community` with its counts, volume, and ratio."""
-    c1 = _node_indices(g, c1)
-    c2 = _node_indices(g, c2)
-    counts = edge_counts(g, c1, c2)
-    union = np.sort(np.concatenate((c1, c2)))  # disjoint: edge_counts checked
+    """Assemble a :class:`Community` with its counts, volume, and ratio.
+
+    ``c1`` and ``c2`` are disjoint node collections as :func:`_membership`
+    takes them; the bands are their distinct nodes in ascending order.
+    """
+    side = _membership(g, c1, c2)
+    union = np.flatnonzero(side)
     if not union.size:
         raise GraphError("both bands are empty")
+    c1 = np.flatnonzero(side > 0)
+    c2 = np.flatnonzero(side < 0)
+    counts = edge_counts(g, c1, c2)
     vol = float(g.degrees[union].sum())
     num = 2.0 * counts.pos_across + counts.neg_in_1 + counts.neg_in_2 + counts.boundary
     return Community(
@@ -424,27 +417,18 @@ def community(g: SignedGraph, c1, c2) -> Community:
 
 
 def seed_vector(g: SignedGraph, s1, s2) -> SeedVector:
-    """Degree-normalized seed indicator for two disjoint query sets.
-
-    One of the two sets may be empty; the union must not be.
+    """Degree-normalized seed indicator for two disjoint query sets, each
+    any iterable or integer array of node indices, repeats allowed and order
+    irrelevant. One of the two sets may be empty; the union must not be.
     """
-    s1 = as_node_set(g, s1)
-    s2 = as_node_set(g, s2)
-    if s1 & s2:
-        raise GraphError(f"seed sets overlap on nodes {sorted(s1 & s2)}")
-    union = s1 | s2
-    if not union:
+    side = _membership(g, s1, s2)
+    union = np.flatnonzero(side)
+    if not union.size:
         raise GraphError("both seed sets are empty")
-    vol = float(g.degrees[sorted(union)].sum())
-    values = np.zeros(g.node_count)
-    scale = 1.0 / np.sqrt(vol)
-    if s1:
-        values[sorted(s1)] = scale
-    if s2:
-        values[sorted(s2)] = -scale
+    values = side * (1.0 / np.sqrt(float(g.degrees[union].sum())))
     norm = float(g.degrees @ (values * values))
     assert abs(norm - 1.0) <= SEED_NORM_TOL
-    return SeedVector(values=values, support=tuple(sorted(union)))
+    return SeedVector(values=values)
 
 
 def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:

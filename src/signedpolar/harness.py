@@ -59,8 +59,8 @@ def query(
     of the one certifying CG solve), quality metrics, and the solve/round
     wall times in milliseconds.
     """
-    s1 = frozenset(g.index_of(lab) for lab in s1_labels)
-    s2 = frozenset(g.index_of(lab) for lab in s2_labels)
+    s1 = [g.index_of(lab) for lab in s1_labels]
+    s2 = [g.index_of(lab) for lab in s2_labels]
     s = seed_vector(g, s1, s2)
 
     t0 = time.perf_counter()

@@ -28,7 +28,6 @@ from .graph import (
     Label,
     SignedGraph,
     _membership,
-    as_node_set,
     community,
     seed_vector,
 )
@@ -59,13 +58,13 @@ class CheegerCertificate:
     ``argmin`` attains ``h_value`` among all band pairs that contain the
     seeds and whose volume is at most k times the seed volume;
     ``feasible_count`` is the number of labelings meeting those constraints.
+    The seeds are not stored; see :func:`brute_force_cheeger`.
     """
 
     h_value: float
     argmin: Community
     feasible_count: int
     k: float
-    seeds: tuple[frozenset, frozenset]
 
 
 @dataclass(frozen=True)
@@ -337,19 +336,15 @@ def dense_operators(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return a, d, d - a
 
 
-def _enumerate_min(g, s1, s2, k):
-    """Vectorized scan over all {band1, band2, neither} labelings."""
-    n = g.node_count
+def _enumerate_min(g, base, k):
+    """Vectorized scan over all {band1, band2, neither} labelings that agree
+    with the seed side vector ``base`` on its nonzero entries."""
     deg = g.degrees
-    seeds = sorted(s1 | s2)
-    free = np.array([i for i in range(n) if i not in (s1 | s2)], dtype=np.int64)
+    seeded = base != 0
+    free = np.flatnonzero(~seeded)
     nfree = len(free)
-    vol_seed = float(deg[seeds].sum())
+    vol_seed = float(deg[seeded].sum())
     budget = k * vol_seed * (1.0 + 1e-12)
-
-    base = np.zeros(n, dtype=np.int8)
-    base[sorted(s1)] = 1
-    base[sorted(s2)] = -1
 
     edges = g.adjacency.tocoo()
     eu, ev, w = edges.row, edges.col, edges.data
@@ -394,22 +389,20 @@ def brute_force_cheeger(g: SignedGraph, s1, s2, k: float) -> CheegerCertificate:
     """Exact seeded optimum by enumerating every 3-way node labeling.
 
     Requires n <= 16. Both seed-to-band assignments are tried and the better
-    kept (they are symmetric, so this is a consistency belt). One seed side
-    may be empty; the union must not be.
+    kept (they are symmetric, so this is a consistency belt). Each seed side
+    is any iterable or integer array of node indices; one may be empty, the
+    union must not be.
     """
     if g.node_count > BRUTE_FORCE_NODE_LIMIT:
         raise OracleError(
             f"brute force limited to n <= {BRUTE_FORCE_NODE_LIMIT}, got {g.node_count}"
         )
-    s1 = as_node_set(g, s1)
-    s2 = as_node_set(g, s2)
-    if s1 & s2:
-        raise GraphError("seed sets overlap")
-    if not (s1 | s2):
+    side = _membership(g, s1, s2)
+    if not side.any():
         raise GraphError("both seed sets are empty")
 
-    b1, sig1, n1 = _enumerate_min(g, s1, s2, k)
-    b2, sig2, n2 = _enumerate_min(g, s2, s1, k)
+    b1, sig1, n1 = _enumerate_min(g, side, k)
+    b2, sig2, n2 = _enumerate_min(g, -side, k)
     if sig2 is not None:
         sig2 = -sig2  # swap bands back so seeds land in their own sides
     if sig1 is None and sig2 is None:
@@ -427,7 +420,6 @@ def brute_force_cheeger(g: SignedGraph, s1, s2, k: float) -> CheegerCertificate:
         argmin=argmin,
         feasible_count=feasible,
         k=float(k),
-        seeds=(s1, s2),
     )
 
 

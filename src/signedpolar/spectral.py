@@ -373,8 +373,6 @@ def solve_seeded(
         raise SolverError(f"kappa must lie in [0, 1), got {kappa}")
     if eps <= 0:
         raise SolverError("eps must be positive")
-    if not g.is_connected():
-        raise GraphError("solver requires a connected graph")
 
     warnings: list[str] = []
     eig = smallest_eigenpair(g)

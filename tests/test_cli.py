@@ -58,6 +58,20 @@ class TestQueryCommand:
         assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["oracle-check", "--max-nodes", "5"], "must lie in [6, 16]"),
+    (["oracle-check", "--max-nodes", "40"], "must lie in [6, 16]"),
+    (["oracle-check", "--instances", "-3"], "must be at least 1"),
+    (["oracle-check", "--instances", "0"], "must be at least 1"),
+    (["experiment", "--graphs", "-1"], "must be at least 1"),
+    (["experiment", "--queries", "0"], "must be at least 1"),
+])
+def test_count_out_of_range_is_usage_error(args, message, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+
+
 class TestSynthCommand:
     def test_writes_edges_and_truth(self, tmp_path):
         prefix = tmp_path / "toy"

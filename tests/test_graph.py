@@ -276,11 +276,15 @@ class TestEdgeCounts:
             edge_counts(t3, bad, [])
         with pytest.raises(GraphError, match="out of range"):
             community(t3, [], bad)
+        with pytest.raises(GraphError, match="out of range"):
+            seed_vector(t3, bad, [])
 
     def test_repeated_indices_collapse(self, t3):
         a = community(t3, [1, 0, 1], np.array([2, 2]))
         b = community(t3, {0, 1}, {2})
         assert a == b and a.c1 == (0, 1) and a.c2 == (2,)
+        s = seed_vector(t3, [0, 0], np.array([2]))
+        assert s.values.tobytes() == seed_vector(t3, {0}, {2}).values.tobytes()
 
     def test_fields_account_every_incident_edge(self):
         g = make_random_graph(30, 90, seed=3, weighted=True)
@@ -373,7 +377,7 @@ class TestSeedVector:
     def test_t3_two_sided(self, t3):
         s = seed_vector(t3, {0}, {2})
         np.testing.assert_allclose(s.values, [0.5, 0.0, -0.5])
-        assert s.support == (0, 2)
+        np.testing.assert_array_equal(np.flatnonzero(s.values), [0, 2])
         assert t3.degrees @ (s.values**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_one_sided(self, t3):

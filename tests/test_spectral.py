@@ -376,7 +376,7 @@ class TestShiftLowerBound:
         for kappa in (1e-3, 0.3, 0.5, 0.9, 0.999999):
             a = shift_lower_bound(kappa)
             b = np.sqrt(-a / (2 - 2 * a)) * u0 + np.sqrt((2 - a) / (2 - 2 * a)) * u2
-            s = SeedVector(values=b / np.sqrt(single_edge.degrees), support=(0, 1))
+            s = SeedVector(values=b / np.sqrt(single_edge.degrees))
             c = _dense_correlation(single_edge, s, a)
             assert c == pytest.approx(kappa, rel=1e-9)
 
