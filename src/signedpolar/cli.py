@@ -71,37 +71,36 @@ def _labels_arg(text: str) -> tuple:
     return tuple(t for t in text.split(",") if t)
 
 
+def _number(kind, test=None, rule=""):
+    """An argparse type that reads ``kind``. Text that is no number, or a
+    value that fails ``test``, raises ``ArgumentTypeError``, so the usage
+    error names the option and ``rule``, not a parsing function."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"must be {noun}, got {text!r}") from None
+        if test is not None and not test(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+    return parse
+
+
+_float_arg = _number(float)
+_count_arg = _number(int, lambda n: n >= 1, "be at least 1")
+_max_nodes_arg = _number(int, lambda n: ORACLE_MIN_NODES <= n <= BRUTE_FORCE_NODE_LIMIT,
+                         f"lie in [{ORACLE_MIN_NODES}, {BRUTE_FORCE_NODE_LIMIT}]")
+_budget_arg = _number(float, lambda k: k > 1.0,  # also rejects nan
+                      "be greater than 1 so that kappa = sqrt(1/k) < 1")
+
+
 def _floats_arg(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t)
+    return tuple(_float_arg(t) for t in text.split(",") if t)
 
 
-def _ints_arg(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t)
-
-
-def _budget_arg(text: str) -> float:
-    k = float(text)
-    if not k > 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(
-            f"must be greater than 1 so that kappa = sqrt(1/k) < 1, got {text}"
-        )
-    return k
-
-
-def _count_arg(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return n
-
-
-def _max_nodes_arg(text: str) -> int:
-    n = int(text)
-    if not ORACLE_MIN_NODES <= n <= BRUTE_FORCE_NODE_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [{ORACLE_MIN_NODES}, {BRUTE_FORCE_NODE_LIMIT}], got {text}"
-        )
-    return n
+def _counts_arg(text: str) -> tuple:
+    return tuple(_count_arg(t) for t in text.split(",") if t)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,10 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", help="parameter-grid campaign to CSV")
     e.add_argument("--eta", type=_floats_arg, default=(0.05,))
-    e.add_argument("--seed-sizes", type=_ints_arg, default=(2,))
+    e.add_argument("--seed-sizes", type=_counts_arg, default=(2,))
     e.add_argument("--kappas", type=_floats_arg, default=(DEFAULT_KAPPA,))
-    e.add_argument("--pairs", type=int, default=8)
-    e.add_argument("--band-size", type=int, default=20)
+    e.add_argument("--pairs", type=_count_arg, default=8)
+    e.add_argument("--band-size", type=_count_arg, default=20)
     e.add_argument("--outliers", type=int, default=0)
     e.add_argument("--graphs", type=_count_arg, default=10)
     e.add_argument("--queries", type=_count_arg, default=10)

@@ -343,7 +343,7 @@ def _membership(g: SignedGraph, c1, c2) -> np.ndarray:
     return side
 
 
-def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
+def edge_counts(g: SignedGraph, c1, c2, *, _side=None) -> EdgeCounts:
     """Classify every edge incident to ``c1 | c2`` from the upper-triangle
     rows of the union, so the cost is the union's volume.
 
@@ -354,9 +354,9 @@ def edge_counts(g: SignedGraph, c1, c2) -> EdgeCounts:
     ``max(deg[r] - inner[r], 0)`` over the union, ``inner[r]`` being node
     ``r``'s internal ``|w|``. ``inner`` and ``degrees`` are both summed by
     :func:`_end_sums`, so a node without an outside neighbour adds exactly 0,
-    and a whole-graph split has boundary 0.
-    """
-    side = _membership(g, c1, c2)
+    and a whole-graph split has boundary 0. ``_side`` is the already built
+    ``_membership(g, c1, c2)``."""
+    side = _membership(g, c1, c2) if _side is None else _side
     rows = np.flatnonzero(side)
     adj = g.adjacency
     begin = adj.indptr[rows].astype(np.int64)
@@ -404,7 +404,7 @@ def community(g: SignedGraph, c1, c2) -> Community:
         raise GraphError("both bands are empty")
     c1 = np.flatnonzero(side > 0)
     c2 = np.flatnonzero(side < 0)
-    counts = edge_counts(g, c1, c2)
+    counts = edge_counts(g, c1, c2, _side=side)
     vol = float(g.degrees[union].sum())
     num = 2.0 * counts.pos_across + counts.neg_in_1 + counts.neg_in_2 + counts.boundary
     return Community(

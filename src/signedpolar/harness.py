@@ -56,8 +56,8 @@ def query(
     diagnostics (including ``search_steps``, the evaluations of the secular
     correlation in the shift's root find, ``lanczos_steps``, the Lanczos
     matvecs behind it (0 on the dense path), and ``cg_iterations``, those
-    of the one certifying CG solve), quality metrics, and the solve/round
-    wall times in milliseconds.
+    of the one certifying CG solve, 1 on the dense path, which starts at the
+    spectral solution), quality metrics, and the solve/round wall times in ms.
     """
     s1 = [g.index_of(lab) for lab in s1_labels]
     s2 = [g.index_of(lab) for lab in s2_labels]

@@ -23,7 +23,9 @@ tridiagonal bracket the true c at the root within ``eps / 2`` of kappa
 s1 and s2 from below, Gauss-Radau with a node at ``hi <= lambda1`` from
 above, so s1_G / sqrt(s2_R) <= c <= s1_R / sqrt(s2_G). One preconditioned
 conjugate-gradient solve at the root then produces x, and its measured
-correlation certifies the root to ``eps``.
+correlation certifies the root to ``eps``. On the dense path the solve
+starts at the spectral solution D^{-1/2} U (U'b / (theta - alpha)), exact to
+rounding, and one CG step confirms it; after Lanczos it starts at 0.
 """
 
 from __future__ import annotations
@@ -85,10 +87,10 @@ class SpectralSolution:
     """Continuous optimum of the seed-correlated Rayleigh minimization.
 
     ``cg_iterations`` counts the iterations of the one CG solve that made
-    ``x``, ``search_steps`` the evaluations of c(alpha) in the final root
-    find (>= 1 if the constraint is active) and ``lanczos_steps`` the
-    Lanczos steps (matvecs) that built the spectrum it searched, 0 on the
-    dense path; all three are 0 for the eigenvector.
+    ``x`` (1 on the dense path), ``search_steps`` the evaluations of c(alpha)
+    in the final root find (>= 1 if the constraint is active) and
+    ``lanczos_steps`` the Lanczos steps (matvecs) that built the spectrum it
+    searched, 0 on the dense path; all three are 0 for the eigenvector.
     """
 
     x: np.ndarray
@@ -181,6 +183,7 @@ def solve_shifted(
     b: np.ndarray,
     tol: float = DEFAULT_CG_TOL,
     max_iter: int | None = None,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve (L - alpha*D) x = b by preconditioned conjugate gradients.
 
@@ -188,7 +191,8 @@ def solve_shifted(
     normalized-Laplacian eigenvalue; an indefinite shift is reported through
     the curvature test. Jacobi (degree) preconditioning keeps the iteration
     count tame for shifts approaching the eigenvalue. The iteration starts
-    at x = 0. Returns the solution and the number of CG iterations taken.
+    at ``x0`` (default 0), which is returned after 0 iterations if its
+    residual is exactly zero. Returns the solution and the iterations taken.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.node_count,):
@@ -203,8 +207,10 @@ def solve_shifted(
 
     # diag(L - alpha*D) = (1 - alpha) * deg; alpha < lambda1 <= 1 keeps it positive.
     inv_diag = 1.0 / ((1.0 - alpha) * g.degrees)
-    x = np.zeros(g.node_count)
-    r = b.copy()
+    x = np.zeros(g.node_count) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b.copy() if x0 is None else b - (laplacian_apply(g, x) - alpha * (g.degrees * x))
+    if not r.any():  # an exact start: p = 0 would make p'Ap vanish
+        return x, 0
     p = z = inv_diag * r
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -364,10 +370,11 @@ def solve_seeded(
     constraint is inactive and the eigenvector is returned (its objective,
     the smallest eigenvalue, is the unconstrained minimum), and so is the
     solve at lambda1 - SHIFT_GUARD when c stays above ``kappa`` up to there.
-    Otherwise one CG solve at the secular root (see the module docstring)
-    produces x, and a ``SolverError`` is raised unless its correlation lies
-    within ``eps`` of ``kappa``, which fails only for an ``eps`` finer than
-    floating point resolves c.
+    Otherwise one CG solve at the secular root, on the dense path started at
+    the spectral solution (see the module docstring), produces x, and a
+    ``SolverError`` is raised unless its correlation lies within ``eps`` of
+    ``kappa``, which fails only for an ``eps`` finer than floating point
+    resolves c.
     """
     if not 0.0 <= kappa < 1.0:
         raise SolverError(f"kappa must lie in [0, 1), got {kappa}")
@@ -390,7 +397,7 @@ def solve_seeded(
         )
 
     active = kappa > c_limit
-    lanczos_steps = 0
+    lanczos_steps, x0 = 0, None
     if not active:
         x, alpha, c, objective, iters, steps = v1, lam1, c_limit, lam1, 0, 0
     else:
@@ -401,12 +408,15 @@ def solve_seeded(
             alpha, steps, lanczos_steps = lanczos_root(g, b, kappa, lo, hi, cg_tol, eps)
         else:
             theta, u = eig.spectrum
-            alpha, steps = secular_root(theta, (u.T @ b) ** 2, kappa, lo, hi)
-        raw, iters = solve_shifted(g, alpha, ds, tol=cg_tol)
+            ub = u.T @ b
+            alpha, steps = secular_root(theta, ub**2, kappa, lo, hi)
+            x0 = (u @ (ub / (theta - alpha))) / np.sqrt(g.degrees)
+        raw, iters = solve_shifted(g, alpha, ds, tol=cg_tol, x0=x0)
         raw_norm2 = float(raw @ (g.degrees * raw))
         x = raw / np.sqrt(raw_norm2)
         c = float(x @ ds)
-        # CG leaves its residual D s - (L - alpha D) raw orthogonal to raw.
+        # x'Lx = alpha + (raw'Ds - raw'r) / raw'D raw for CG's residual r: from 0, r is
+        # orthogonal to raw; from the spectral start, raw'r is rounding (~1e-15 of x'Lx).
         objective = alpha + float(raw @ ds) / raw_norm2
         active = alpha < hi
         if not active:

@@ -65,11 +65,32 @@ class TestQueryCommand:
     (["oracle-check", "--instances", "0"], "must be at least 1"),
     (["experiment", "--graphs", "-1"], "must be at least 1"),
     (["experiment", "--queries", "0"], "must be at least 1"),
+    (["experiment", "--pairs", "0"], "must be at least 1"),
+    (["experiment", "--band-size", "0"], "must be at least 1"),
+    (["experiment", "--seed-sizes", "0"], "must be at least 1"),
+    (["experiment", "--seed-sizes", "2,-1"], "must be at least 1"),
 ])
 def test_count_out_of_range_is_usage_error(args, message, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["oracle-check", "--instances", "abc"], "--instances"),
+    (["oracle-check", "--max-nodes", "8.5"], "--max-nodes"),
+    (["query", "--graph", "g.edges", "--k", "two"], "--k"),
+    (["experiment", "--graphs", "1e3"], "--graphs"),
+    (["experiment", "--pairs", "x"], "--pairs"),
+    (["experiment", "--seed-sizes", "2,b"], "--seed-sizes"),
+    (["experiment", "--eta", "0,low"], "--eta"),
+    (["experiment", "--kappas", "0.5,high"], "--kappas"),
+])
+def test_text_that_is_no_number_is_usage_error(args, option, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {option}: must be ")
+    assert "_arg" not in err and "invalid" not in err
 
 
 class TestSynthCommand:

@@ -286,6 +286,22 @@ class TestEdgeCounts:
         s = seed_vector(t3, [0, 0], np.array([2]))
         assert s.values.tobytes() == seed_vector(t3, {0}, {2}).values.tobytes()
 
+    def test_community_builds_its_side_vector_once(self, monkeypatch):
+        g = make_random_graph(30, 90, seed=3, weighted=True)
+        c1, c2 = [0, 4, 4, 7], np.array([9, 2])
+        expected = community(g, c1, c2)
+        calls = {"_membership": 0, "edge_counts": 0}
+        for name in calls:
+            fn = getattr(graph_mod, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(graph_mod, name, counting)
+        assert community(g, c1, c2) == expected
+        assert calls == {"_membership": 1, "edge_counts": 1}
+
     def test_fields_account_every_incident_edge(self):
         g = make_random_graph(30, 90, seed=3, weighted=True)
         rng = np.random.default_rng(0)
