@@ -18,8 +18,12 @@ from scipy.sparse.csgraph import connected_components
 Label = Hashable
 
 SEED_NORM_TOL = 1e-10
-# Rows per block when _stable_sort gathers a column.
-_GATHER_BLOCK = 1 << 12
+# Entries per block of the per-edge passes that work a block at a time
+# (here, in io and in sweep), so that no temporary of theirs is longer.
+# The graphs of a few thousand edges that experiments build take one block;
+# at 2**12 they took two, and the extra pass made their queries slower.
+# Blocks of 2**15 raised the ingest peak of a 75k-key file by 6%.
+_GATHER_BLOCK = 1 << 14
 
 
 class GraphError(ValueError):
@@ -63,11 +67,11 @@ class SignedGraph:
         w = np.asarray(edge_w, dtype=np.float64)
         if not _in_pair_order(u, v):
             raise GraphError("edge pairs must be distinct with edge_u < edge_v, in (u, v) order")
-        idx = np.int32 if max(n, len(w)) <= np.iinfo(np.int32).max else np.int64
+        idx = _index_dtype(max(n, len(w)))
         indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
         self.adjacency = sp.csr_matrix((w, v.astype(idx, copy=False), indptr), shape=(n, n))
-        self.degrees = _end_sums(u, v, np.abs(w), n)
+        self.degrees = _end_sums(u, v, w, n, np.abs)
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
 
@@ -90,6 +94,32 @@ class SignedGraph:
         return self._cache["connected"]
 
 
+def _index_dtype(size: int) -> type:
+    """int32 if it holds every index below ``size``, else int64."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
+def _spans(size: int):
+    """The bounds ``(a, b)`` of the blocks of ``_GATHER_BLOCK`` entries that
+    cover ``range(size)``, in order."""
+    return ((a, min(a + _GATHER_BLOCK, size)) for a in range(0, size, _GATHER_BLOCK))
+
+
+def _row_spans(indptr: np.ndarray):
+    """The bounds ``(r0, r1)`` of consecutive row ranges of a CSR matrix
+    that cover all its entries, in order, each holding about
+    ``_GATHER_BLOCK`` entries: more only where one row holds more."""
+    row_of = np.searchsorted(indptr, np.arange(0, indptr[-1], _GATHER_BLOCK), side="right") - 1
+    starts = list(dict.fromkeys(row_of.tolist()))  # row_of is sorted
+    return zip(starts, starts[1:] + [len(indptr) - 1])
+
+
+def _or_positions(words: np.ndarray) -> None:
+    """OR each uint64 word's position into its low bits, a block at a time."""
+    for a, b in _spans(len(words)):
+        words[a:b] |= np.arange(a, b, dtype=np.uint64)
+
+
 def _stable_sort(key: np.ndarray, *cols: np.ndarray) -> None:
     """Sort the int64 ``key`` in place, stably, and each of the 8-byte
     columns ``cols`` the same way.
@@ -106,7 +136,7 @@ def _stable_sort(key: np.ndarray, *cols: np.ndarray) -> None:
         raise GraphError("graph too large to index")
     packed = key.view(np.uint64)
     packed <<= bits
-    packed |= np.arange(len(key), dtype=np.uint64)
+    _or_positions(packed)
     packed.sort()
     low = (np.uint64(1) << bits) - np.uint64(1)
     spare = np.empty(len(key) if cols else 0, dtype=np.int64)
@@ -125,17 +155,21 @@ def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
     return bool(ahead.all() and (u < v).all())
 
 
-def _end_sums(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sum each entry's weight onto both its ends: its row and its column.
+def _end_sums(rows: np.ndarray, cols: np.ndarray, w: np.ndarray, size: int, part) -> np.ndarray:
+    """Sum each entry's weight ``part(w)`` onto both its ends: its row and
+    its column.
 
-    ``np.bincount`` adds in index order and ``np.add.at`` goes on from
-    there, so every row term comes before every column term. Degrees,
-    :func:`edge_counts`' internal weights and the positive degrees of
-    ``harness.sample_seed_pairs`` all sum this way; the boundary of
+    ``np.add.at`` adds in index order from zero, as one ``np.bincount``
+    would, and every row term comes before every column term. It goes a
+    block of entries at a time, so ``part(w)`` is never made whole.
+    Degrees, :func:`edge_counts`' internal weights and the positive degrees
+    of ``harness.sample_seed_pairs`` all sum this way; the boundary of
     :func:`edge_counts` is exact only because the orders match.
     """
-    sums = np.bincount(rows, weights, minlength=size)
-    np.add.at(sums, cols, weights)
+    sums = np.zeros(size)
+    for ends in (rows, cols):
+        for a, b in _spans(len(w)):
+            np.add.at(sums, ends[a:b], part(w[a:b]))
     return sums
 
 
@@ -204,9 +238,13 @@ class EdgeList:
     """Labeled edges as columns: row ``i`` joins ``labels[u[i]]`` and
     ``labels[v[i]]`` with weight ``w[i]``, rows in any order.
 
-    Labels must be distinct. The graph built from the list keeps the list's
-    order of labels as its node order, without the labels that no row uses.
-    ``len()`` is the number of rows.
+    ``u`` and ``v`` are integer arrays.
+    :func:`~signedpolar.io.read_edge_list` gives them as int32 when the
+    labels fit (int64 past that, like :class:`SignedGraph`'s indices); any
+    integer dtype builds the same graph, and building leaves the arrays
+    unwritten. Labels must be distinct. The graph built from the list keeps
+    the list's order of labels as its node order, without the labels that
+    no row uses. ``len()`` is the number of rows.
     """
 
     labels: Sequence[Label]
@@ -248,9 +286,11 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
     labels, lo, hi, w = _check_rows(edges)
-    # The edge list, unless the caller keeps it, is freed before the merge
-    # sorts the rows, and each unmerged column once its merged copy exists.
+    # The edge list, unless the caller keeps it, is freed before its w is
+    # copied for the merge to sort, and each unmerged column once its
+    # merged copy exists.
     del edges
+    w = w.copy()
     keep = _merge_pairs(lo, hi, w)
     lo = lo[keep]
     hi = hi[keep]
@@ -260,9 +300,13 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
 
 def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Check the edge list; returns its used labels, in list order, and the
-    rows as new ``(lo, hi, w)`` columns numbered over those labels."""
-    u = np.asarray(edges.u, dtype=np.int64)
-    v = np.asarray(edges.v, dtype=np.int64)
+    rows as ``(lo, hi, w)`` columns numbered over those labels: ``lo`` and
+    ``hi`` new int64 arrays, ``w`` the list's own weights as float64."""
+    # int32 and int64 columns are read as they are, others as int64
+    u, v = (
+        c if c.dtype in (np.int32, np.int64) else c.astype(np.int64)
+        for c in map(np.asarray, (edges.u, edges.v))
+    )
     w = np.asarray(edges.w, dtype=np.float64)
     m = len(w)
     if u.shape != (m,) or v.shape != (m,):
@@ -272,9 +316,9 @@ def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarr
     nlab = len(edges.labels)
     if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= nlab:
         raise GraphError(f"edge endpoint index out of range [0, {nlab})")
-    bad = (u == v) | (w == 0.0) | ~np.isfinite(w)
-    if bad.any():
-        i = int(np.argmax(bad))
+    bad = np.flatnonzero((u == v) | (w == 0.0) | ~np.isfinite(w))
+    if bad.size:
+        i = int(bad[0])
         a, b = edges.labels[u[i]], edges.labels[v[i]]
         if u[i] == v[i]:
             raise GraphError(f"self-loop on node {a!r}")
@@ -283,15 +327,21 @@ def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarr
     used = np.zeros(nlab, dtype=bool)
     used[u] = True
     used[v] = True
-    labels = [edges.labels[i] for i in np.flatnonzero(used).tolist()]
+    # as read_edge_list and EdgeList.from_tuples number them
+    every_label = bool(used.all())
+    labels = list(edges.labels) if every_label else [
+        edges.labels[i] for i in np.flatnonzero(used).tolist()
+    ]
     if len(set(labels)) < len(labels):
         raise GraphError("edge list labels are not distinct")
-    new_id = np.cumsum(used) - 1  # the used labels keep their order
-    u = new_id[u]
-    v = new_id[v]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v, out=u)
-    return labels, lo, hi, w.copy()  # the merge sorts w in place
+    lo = np.minimum(u, v, dtype=np.int64)
+    hi = np.maximum(u, v, dtype=np.int64)
+    if not every_label:
+        new_id = np.cumsum(used) - 1  # the used labels keep their order
+        for a, b in _spans(m):
+            lo[a:b] = new_id[lo[a:b]]
+            hi[a:b] = new_id[hi[a:b]]
+    return labels, lo, hi, w
 
 
 def _merge_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -380,7 +430,7 @@ def edge_counts(g: SignedGraph, c1, c2, *, _side=None) -> EdgeCounts:
     cls += w > 0
     # a class holds weights of one sign, so |sum| is the sum of |w|
     c = np.abs(np.bincount(cls, w, minlength=8)).reshape(2, 2, 2)
-    inner = _end_sums(k, j, np.abs(w), len(rows))
+    inner = _end_sums(k, j, w, len(rows), np.abs)
     return EdgeCounts(
         pos_across=float(c[0, 1, 1] + c[1, 0, 1]),
         neg_in_1=float(c[0, 0, 0]),

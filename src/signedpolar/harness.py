@@ -118,7 +118,7 @@ def sample_seed_pairs(
         raise ValueError("threshold t must be nonnegative")
     edges = g.adjacency.tocoo()
     u, v, w = edges.row, edges.col, edges.data
-    pos = _end_sums(u, v, np.maximum(w, 0.0), g.node_count)  # positive degrees
+    pos = _end_sums(u, v, w, g.node_count, lambda x: np.maximum(x, 0.0))  # positive degrees
     ok = (w < 0) & (pos[u] >= t) & (pos[v] >= t)
     idx = np.flatnonzero(ok)
     if len(idx) == 0:

@@ -39,6 +39,9 @@ from .graph import (
     EdgeList,
     GraphError,
     SignedGraph,
+    _index_dtype,
+    _or_positions,
+    _spans,
     build_graph,
     largest_component,
 )
@@ -73,10 +76,12 @@ class IngestError(ValueError):
 def read_edge_list(path) -> EdgeList:
     """Parse a ``u v w`` edge file (grammar in the module docstring).
 
-    Labels are numbered in order of first appearance, ``u`` before ``v``.
-    The file is parsed a block of lines at a time; each block writes a key
-    per label and a weight per row into columns sized once, from a count
-    of the file's line breaks, and the keys are numbered once at the end.
+    Labels are numbered in order of first appearance, ``u`` before ``v``;
+    the ids are int32 when the labels fit, int64 past that. The file is
+    parsed a block of lines at a time; each block writes a key per label
+    and a weight per row into columns sized once, from a count of the
+    file's line breaks, and :func:`_number_ends` numbers the keys at the
+    end.
     """
     long_labels: dict[bytes, int] = {}
     lines = rows = 0
@@ -85,28 +90,57 @@ def read_edge_list(path) -> EdgeList:
         # the heap's freed memory resident between them, 30-60 MB that
         # varied from run to run on the local-100k file.
         cap = _line_bound(fh)
-        key = np.empty(2 * cap, dtype=np.uint64)
-        w = np.empty(cap)
+        ukey, vkey, w = np.empty(cap, np.uint64), np.empty(cap, np.uint64), np.empty(cap)
         for raw in _blocks(fh):
             k, wb, lines = _read_block(path, raw, lines, long_labels)
             end = rows + len(wb)
             if end > cap:  # a file that cannot be rewound, or that grew
                 cap = max(end, 2 * cap)
-                key, w = np.resize(key, 2 * cap), np.resize(w, cap)
-            key[2 * rows : 2 * end] = k
+                ukey, vkey, w = (np.resize(a, cap) for a in (ukey, vkey, w))
+            ukey[rows:end] = k[0::2]
+            vkey[rows:end] = k[1::2]
             w[rows:end] = wb
             rows = end
     if not rows:
         raise IngestError(f"{path}: no edges found")
-    ids, _, distinct = _intern(key[: 2 * rows])  # ids reuses key's memory
-    del key
+    u, v, distinct = _number_ends(ukey[:rows], vkey[:rows])
+    del ukey, vkey
     tokens = list(long_labels)
     labels = [
         (tokens[k - _LONG_TOKEN] if k >= _LONG_TOKEN else k.to_bytes(8, "little")[: k >> 56])
         .decode()
         for k in distinct.tolist()
     ]
-    return EdgeList(labels, ids[0::2], ids[1::2], w[:rows])
+    return EdgeList(labels, u, v, w[:rows])
+
+
+def _number_ends(ukey: np.ndarray, vkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the label keys of the two endpoint columns together, in order
+    of first appearance, row by row and ``u`` before ``v``. Returns the
+    ``u`` and ``v`` numbers, int32 if they fit, and the keys in number
+    order. Both key columns are overwritten.
+
+    Each column is interned by itself, and the two numberings are merged
+    through their distinct keys. An array of all the file's keys, 41.6 MB
+    at 2.6M rows, is above glibc's largest mmap threshold (32 MiB), so it
+    and its work array were mapped afresh on every ingest instead of
+    taken from the heap that the previous graph had freed, and in some
+    ``local-100k`` runs they set the peak RSS.
+    """
+    (iu, fu, du), (iv, fv, dv) = _intern(ukey), _intern(vkey)
+    # row r's u is position 2r of the file's stream of labels, its v 2r + 1
+    by_position = np.argsort(np.concatenate([2 * fu, 2 * fv + 1]))
+    number, _, distinct = _intern(np.concatenate([du, dv])[by_position])
+    joint = np.empty(len(number), dtype=np.int64)
+    joint[by_position] = number
+    idx = _index_dtype(len(distinct))
+    ends = []
+    for ids, to_joint in ((iu, joint[: len(du)]), (iv, joint[len(du) :])):
+        out = np.empty(len(ids), dtype=idx)
+        for a, b in _spans(len(ids)):
+            out[a:b] = to_joint[ids[a:b]]
+        ends.append(out)
+    return ends[0], ends[1], distinct
 
 
 def _line_bound(fh) -> int:
@@ -280,52 +314,53 @@ def _token_keys(
 
 
 def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Number the keys so that equal keys share a number, in order of first
-    appearance. Returns each key's number, written over ``key``'s memory,
-    and per number the index of its first key and the key.
+    """Number the uint64 keys so that equal keys share a number, in order of
+    first appearance. Returns each key's number as int64, written over
+    ``key``'s memory, and per number the index of its first key and the key.
+
+    Equal keys are brought together by one ``np.sort`` of uint64 words, each
+    a hash of a key above its index, several times faster than a stable
+    argsort; the sorted words then become the order, runs in hash order and
+    each run in index order. If two different keys share a hash, a stable
+    argsort orders the keys instead. The order is the one work array as
+    long as the keys: the runs are found and numbered a block of
+    ``graph._GATHER_BLOCK`` entries at a time.
     """
     if not len(key):
         return key.view(np.int64), np.empty(0, dtype=np.int64), key
-    order, skey = group_order(key)
-    heads = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
-    distinct = skey[heads]
-    del skey
+    bits = np.uint64(max(1, (len(key) - 1).bit_length()))
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    words = key * _HASH_MULT
+    words &= ~low
+    _or_positions(words)
+    words.sort()
+    words &= low
+    order = words.view(np.int64)
+    heads = _run_heads(key, order)
+    hashes = (key[order[heads]] * _HASH_MULT) >> bits
+    if np.any(hashes[1:] == hashes[:-1]):  # two different keys share a hash
+        order[:] = np.argsort(key, kind="stable")
+        heads = _run_heads(key, order)
     first = order[heads]  # each run is in index order
     by_first = np.argsort(first)
+    distinct = key[first[by_first]]
     rank = np.empty(len(heads), dtype=np.int64)
     rank[by_first] = np.arange(len(heads))
     ids = key.view(np.int64)
-    ids[order] = np.repeat(rank, np.diff(heads, append=len(order)))
-    return ids, first[by_first], distinct[by_first]
+    for a, b in _spans(len(order)):
+        # the runs that meet positions a to b - 1, and how many of those each holds
+        i, j = np.searchsorted(heads, (a, b - 1), side="right")
+        ids[order[a:b]] = np.repeat(rank[i - 1 : j], np.diff(heads[i:j], prepend=a, append=b))
+    return ids, first[by_first], distinct
 
 
-def group_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A permutation that brings equal keys together, each run in index
-    order, and the keys in that order.
-
-    It groups like ``np.argsort(key, kind="stable")``, but the runs come in
-    hash order, not key order. One ``np.sort`` of uint64 words, each a hash
-    of a key above its index, is several times faster than an argsort. If
-    two different keys share a hash, the stable argsort is used instead.
-    """
-    key = np.asarray(key).astype(np.uint64, copy=False)
-    bits = np.uint64(max(1, (len(key) - 1).bit_length()))
-    low = (np.uint64(1) << bits) - np.uint64(1)
-    packed = key * _HASH_MULT
-    packed &= ~low
-    packed |= np.arange(len(key), dtype=np.uint64)
-    packed.sort()
-    order = (packed & low).view(np.int64)
-    packed >>= bits
-    hash_changes = np.count_nonzero(packed[1:] != packed[:-1])
-    del packed
-    skey = key[order]
-    # equal keys share a hash, so the keys change more often only if two
-    # different keys share a hash
-    if np.count_nonzero(skey[1:] != skey[:-1]) != hash_changes:
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-    return order, skey
+def _run_heads(key: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The positions in ``order`` at which the key changes, 0 first."""
+    heads = [np.zeros(1, dtype=np.int64)]
+    for a, b in _spans(len(order) - 1):
+        k = key[order[a : b + 1]]
+        heads.append(np.flatnonzero(k[1:] != k[:-1]) + (a + 1))
+    return np.concatenate(heads)
 
 
 def write_edge_list(path, g: SignedGraph) -> None:

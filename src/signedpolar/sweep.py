@@ -11,9 +11,9 @@ endpoints, never on the threshold. A prefix's volume counts each edge
 leaving it once (the boundary weight |w|) and each edge inside it twice, so
 its contradicting weight is its volume plus, per inside edge, the edge's
 contradiction weight (2w if positive across the bands, |w| if negative
-within one, else 0) minus 2|w|. An edge is inside from prefix ``hi + 1`` on,
-``hi`` being the later rank of its endpoints in the |x| order, so one
-``bincount`` over ``hi`` and a cumulative sum give every prefix.
+within one, else 0) minus 2|w|. An edge is inside from the prefix that its
+later endpoint in the |x| order enters on, so summing the charges per entry
+prefix, and a cumulative sum, give every prefix.
 
 Entries with x == 0 are never placed in a band: only strictly positive
 thresholds are candidates. The smallest positive threshold already assigns
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Community, GraphError, SignedGraph, community
+from .graph import Community, GraphError, SignedGraph, _row_spans, community
 
 
 # An edge's charge in units of w, indexed by 2 * (endpoints on one side) +
@@ -86,29 +86,39 @@ def edge_charge(w: np.ndarray, same_side: np.ndarray) -> np.ndarray:
 
 def build_sweep_table(g: SignedGraph, x) -> SweepTable:
     """Fill all prefix arrays in O(m + n log n): one sort, then one edge pass
-    charging each edge at the prefix where its later endpoint enters."""
+    charging each edge at the prefix where its later endpoint enters.
+
+    The pass goes over ``U`` a block of rows at a time, so its temporaries
+    are a block long. Each block's charges are added to their prefixes by
+    ``np.add.at``, which goes on from the sums of the blocks before, in
+    entry order: each prefix gets the bits of one ``np.bincount`` over all
+    the edges.
+    """
     x = _check_vector(g, x)
     nodes = np.flatnonzero(x != 0.0)
     nz = len(nodes)
     absx = np.abs(x)
     order_abs = nodes[np.lexsort((nodes, -x[nodes], -absx[nodes]))]
-    rank = np.full(g.node_count, nz, dtype=np.int32)  # zeros stay unranked
-    rank[order_abs] = np.arange(nz, dtype=np.int32)
+    # the first prefix each node is in; nz + 1, past the last, for the zeros,
+    # so that bin nz + 1 collects the edges that are never inside
+    enters = np.full(g.node_count, nz + 1, dtype=np.int32)
+    enters[order_abs] = np.arange(1, nz + 1, dtype=np.int32)
+    positive = x > 0
 
     # an edge (u, v) of U is an entry of row u and column v
     adj = g.adjacency
     row_size = np.diff(adj.indptr)
-    hi = np.repeat(rank, row_size)
-    np.maximum(hi, rank.take(adj.indices), out=hi)
-    hi += 1  # the first prefix the edge is inside
-    positive = x > 0
-    same_side = np.repeat(positive, row_size)
-    np.equal(same_side, positive.take(adj.indices), out=same_side)
-    charge = edge_charge(adj.data, same_side)
-    # bin nz + 1 collects the edges touching a zero entry, never inside
-    charge = np.bincount(hi, weights=charge, minlength=nz + 2)[: nz + 1]
+    charge = np.zeros(nz + 2)
+    for r0, r1 in _row_spans(adj.indptr):
+        a, b = adj.indptr[r0], adj.indptr[r1]
+        cols, sizes = adj.indices[a:b], row_size[r0:r1]
+        hi = np.repeat(enters[r0:r1], sizes)
+        np.maximum(hi, enters.take(cols), out=hi)  # the first prefix the edge is in
+        same_side = np.repeat(positive[r0:r1], sizes)
+        np.equal(same_side, positive.take(cols), out=same_side)
+        np.add.at(charge, hi, edge_charge(adj.data[a:b], same_side))
     vol_abs = np.concatenate([[0.0], np.cumsum(g.degrees[order_abs])])
-    numerator = vol_abs + np.cumsum(charge)
+    numerator = vol_abs + np.cumsum(charge[: nz + 1])
 
     abs_sorted = absx[order_abs]
     threshold_end = np.zeros(nz + 1, dtype=bool)

@@ -228,15 +228,18 @@ def _random_split(g, rng):
 
 class TestEdgeCounts:
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 60), weighted=st.booleans(),
-           whole=st.booleans())
+           whole=st.booleans(), block=st.sampled_from([3, 1 << 14]))
     @settings(max_examples=60, deadline=None)
-    def test_row_pass_matches_all_edge_reference(self, seed, n, weighted, whole):
-        g = make_random_graph(n, 3 * n, seed=seed, weighted=weighted)
-        rng = np.random.default_rng(seed)
-        c1, c2 = _random_split(g, rng)
-        if whole:  # every node in a band: the pass covers all rows
-            c1 = np.setdiff1d(np.arange(g.node_count), c2)
-        fast, ref = edge_counts(g, c1, c2), naive_edge_counts(g, c1, c2)
+    def test_row_pass_matches_all_edge_reference(self, seed, n, weighted, whole, block):
+        # blocks of 3 entries split the degree and internal-weight sums
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+            g = make_random_graph(n, 3 * n, seed=seed, weighted=weighted)
+            rng = np.random.default_rng(seed)
+            c1, c2 = _random_split(g, rng)
+            if whole:  # every node in a band: the pass covers all rows
+                c1 = np.setdiff1d(np.arange(g.node_count), c2)
+            fast, ref = edge_counts(g, c1, c2), naive_edge_counts(g, c1, c2)
         if weighted:
             for name, value in vars(ref).items():
                 assert getattr(fast, name) == pytest.approx(value, rel=1e-12, abs=1e-300)

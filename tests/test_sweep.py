@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import signedpolar.graph as graph_mod
 from signedpolar import SweepError, build_graph, build_sweep_table, fast_sweep
 from signedpolar.oracle import naive_sweep, rayleigh_quotient
 from signedpolar.sweep import edge_charge
@@ -98,6 +101,62 @@ class TestSweepTable:
             c2 = [int(u) for u in prefix if x[u] < 0]
             expected = scratch_beta(g, c1, c2)
             assert t.beta_prefix[i] == pytest.approx(expected, rel=1e-12)
+
+
+def _one_pass_table(g, x):
+    """The prefix sums of one unblocked pass: every edge's later rank and
+    charge as whole arrays, then one ``np.bincount``."""
+    nodes = np.flatnonzero(x != 0.0)
+    nz = len(nodes)
+    order_abs = nodes[np.lexsort((nodes, -x[nodes], -np.abs(x[nodes])))]
+    rank = np.full(g.node_count, nz, dtype=np.int32)
+    rank[order_abs] = np.arange(nz, dtype=np.int32)
+    e = g.adjacency.tocoo()
+    hi = np.maximum(rank[e.row], rank[e.col]) + 1
+    positive = x > 0
+    charge = edge_charge(e.data, positive[e.row] == positive[e.col])
+    charge = np.bincount(hi, weights=charge, minlength=nz + 2)[: nz + 1]
+    vol_abs = np.concatenate([[0.0], np.cumsum(g.degrees[order_abs])])
+    numerator = vol_abs + np.cumsum(charge)
+    beta_prefix = np.full(nz + 1, np.nan)
+    beta_prefix[1:] = numerator[1:] / vol_abs[1:]
+    return {"numerator": numerator, "vol_abs": vol_abs, "beta_prefix": beta_prefix}
+
+
+class TestBlockedTable:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 80),
+        block=st.sampled_from([1, 2, 5, 16, 4096]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_pass_bit_for_bit(self, seed, n, block):
+        rng = np.random.default_rng(seed)
+        g = make_random_graph(n, int(rng.integers(0, 4 * n)), seed=seed % 997, weighted=True)
+        # one decimal gives zeros and ties in |x|, of equal and opposite signs
+        x = np.round(rng.standard_normal(n), 1)
+        if not np.any(x):
+            x[0] = -0.5
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+            table = build_sweep_table(g, x)
+        for name, ref in _one_pass_table(g, x).items():
+            assert np.array_equal(getattr(table, name).view(np.int64), ref.view(np.int64)), name
+
+    def test_peak_does_not_grow_with_the_edges(self):
+        # A dense graph, 50 edges a node: the table holds one block of
+        # entries and a few arrays a node, about 20 bytes an entry and 110
+        # a node, so the allowance has no term in the edge count.
+        g = make_random_graph(2000, 100_000, seed=6, weighted=True)
+        x = np.random.default_rng(0).standard_normal(g.node_count)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_sweep_table(g, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * g.node_count + 32 * graph_mod._GATHER_BLOCK
 
 
 class TestEdgeCharge:
