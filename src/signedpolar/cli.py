@@ -54,8 +54,9 @@ EXIT_SOLVER = 3
 
 ORACLE_MIN_NODES = 6  # the smallest random instance oracle-check draws
 
-EPS_HELP = ("bound on |c - kappa| for the solution's seed correlation c; "
-            "it also sets how long Lanczos runs on graphs above 512 nodes")
+EPS_HELP = ("bound on |c - kappa| for the solution's seed correlation c, "
+            "which the final solve must meet; the solver runs to a fixed "
+            "residual tolerance whatever its value")
 
 
 class _UsageError(Exception):
@@ -87,20 +88,22 @@ def _number(kind, test=None, rule=""):
     return parse
 
 
-_float_arg = _number(float)
+# The range tests are written so that nan fails them.
 _count_arg = _number(int, lambda n: n >= 1, "be at least 1")
 _max_nodes_arg = _number(int, lambda n: ORACLE_MIN_NODES <= n <= BRUTE_FORCE_NODE_LIMIT,
                          f"lie in [{ORACLE_MIN_NODES}, {BRUTE_FORCE_NODE_LIMIT}]")
-_budget_arg = _number(float, lambda k: k > 1.0,  # also rejects nan
+_budget_arg = _number(float, lambda k: k > 1.0,
                       "be greater than 1 so that kappa = sqrt(1/k) < 1")
+_kappa_arg = _number(float, lambda k: 0.0 <= k < 1.0, "lie in [0, 1)")
+_eps_arg = _number(float, lambda e: e > 0.0, "be positive")
+_eta_arg = _number(float, lambda e: 0.0 <= e <= 1.0, "lie in [0, 1]")
 
 
-def _floats_arg(text: str) -> tuple:
-    return tuple(_float_arg(t) for t in text.split(",") if t)
-
-
-def _counts_arg(text: str) -> tuple:
-    return tuple(_count_arg(t) for t in text.split(",") if t)
+def _list_of(item):
+    """An argparse type that reads a comma-separated list of ``item``."""
+    def parse(text: str) -> tuple:
+        return tuple(item(t) for t in text.split(",") if t)
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,15 +115,15 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--directed", action="store_true")
     q.add_argument("--s1", type=_labels_arg, default=())
     q.add_argument("--s2", type=_labels_arg, default=())
-    q.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    q.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
     q.add_argument("--k", type=_budget_arg, default=None,
                    help="volume budget k > 1; sets kappa = sqrt(1/k)")
-    q.add_argument("--eps", type=float, default=DEFAULT_EPS, help=EPS_HELP)
+    q.add_argument("--eps", type=_eps_arg, default=DEFAULT_EPS, help=EPS_HELP)
     q.add_argument("--emit-vector", action="store_true")
     q.add_argument("--out", default=None)
 
     s = sub.add_parser("synth", help="write a synthetic polarized graph")
-    s.add_argument("--eta", type=float, default=0.05)
+    s.add_argument("--eta", type=_eta_arg, default=0.05)
     s.add_argument("--pairs", type=int, default=8)
     s.add_argument("--band-size", type=int, default=20)
     s.add_argument("--outliers", type=int, default=0)
@@ -129,15 +132,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="prefix; writes <out>.edges and <out>.truth.json")
 
     e = sub.add_parser("experiment", help="parameter-grid campaign to CSV")
-    e.add_argument("--eta", type=_floats_arg, default=(0.05,))
-    e.add_argument("--seed-sizes", type=_counts_arg, default=(2,))
-    e.add_argument("--kappas", type=_floats_arg, default=(DEFAULT_KAPPA,))
+    e.add_argument("--eta", type=_list_of(_eta_arg), default=(0.05,))
+    e.add_argument("--seed-sizes", type=_list_of(_count_arg), default=(2,))
+    e.add_argument("--kappas", type=_list_of(_kappa_arg), default=(DEFAULT_KAPPA,))
     e.add_argument("--pairs", type=_count_arg, default=8)
     e.add_argument("--band-size", type=_count_arg, default=20)
     e.add_argument("--outliers", type=int, default=0)
     e.add_argument("--graphs", type=_count_arg, default=10)
     e.add_argument("--queries", type=_count_arg, default=10)
-    e.add_argument("--eps", type=float, default=DEFAULT_EPS, help=EPS_HELP)
+    e.add_argument("--eps", type=_eps_arg, default=DEFAULT_EPS, help=EPS_HELP)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--timings", action="store_true",
                    help="append wall-time columns (breaks byte determinism)")
@@ -152,8 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="timing smoke test on a synthetic graph")
     b.add_argument("--nodes", type=int, default=100_000)
     b.add_argument("--avg-degree", type=float, default=None)
-    b.add_argument("--eta", type=float, default=0.05)
-    b.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    b.add_argument("--eta", type=_eta_arg, default=0.05)
+    b.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--doubling", action="store_true",
                    help="also time the rounding step on a dense vector, here "

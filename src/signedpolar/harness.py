@@ -56,8 +56,10 @@ def query(
     diagnostics (including ``search_steps``, the evaluations of the secular
     correlation in the shift's root find, ``lanczos_steps``, the Lanczos
     matvecs behind it (0 on the dense path), and ``cg_iterations``, those
-    of the one certifying CG solve, 1 on the dense path, which starts at the
-    spectral solution), quality metrics, and the solve/round wall times in ms.
+    of the one certifying CG solve, which starts at the spectral or Krylov
+    solution and so takes 1 unless the Lanczos basis was capped), quality
+    metrics, and the solve/round wall times in ms. ``eps`` bounds
+    |c - kappa| in that solve's certificate.
     """
     s1 = [g.index_of(lab) for lab in s1_labels]
     s2 = [g.index_of(lab) for lab in s2_labels]

@@ -17,15 +17,16 @@ r = (2 - alpha) / (-alpha), for every graph and seed, and
 ``shift_lower_bound`` solves that bound for kappa. Up to DENSE_EIG_LIMIT
 nodes the pairs come from the full eigendecomposition that
 ``smallest_eigenpair`` computes anyway; above it, from Lanczos on Lnorm
-started at b. Lanczos stops once Gauss and Gauss-Radau quadrature over its
-tridiagonal bracket the true c at the root within ``eps / 2`` of kappa
-(Golub & Meurant, *Matrices, Moments and Quadrature*, 2010): Gauss bounds
-s1 and s2 from below, Gauss-Radau with a node at ``hi <= lambda1`` from
-above, so s1_G / sqrt(s2_R) <= c <= s1_R / sqrt(s2_G). One preconditioned
-conjugate-gradient solve at the root then produces x, and its measured
-correlation certifies the root to ``eps``. On the dense path the solve
-starts at the spectral solution D^{-1/2} U (U'b / (theta - alpha)), exact to
-rounding, and one CG step confirms it; after Lanczos it starts at 0.
+started at b. Each source also yields the solution y of
+(Lnorm - alpha) y = b at the root: the dense path the spectral solution
+U (U'b / (theta - alpha)), exact to rounding, Lanczos its Krylov solution.
+Jacobi-preconditioned CG on L - alpha*D is CG on Lnorm - alpha started at b,
+which is the Lanczos process (Saad, *Iterative Methods for Sparse Linear
+Systems*, 2nd ed., 2003, section 6.7), so Lanczos runs until the residual of
+its solution is at most the CG tolerance. One preconditioned
+conjugate-gradient solve started at x0 = D^{-1/2} y certifies it, in one
+step on both paths, and the measured correlation of its result certifies
+the root to ``eps``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ DEFAULT_CG_TOL = 1e-8
 _C_RESOLUTION = 4 * np.finfo(np.float64).eps
 _ROOT_STEPS = 100
 _BREAKDOWN = 1e-12  # a vanishing Lanczos coupling, against |Lnorm| <= 2
+# Lanczos vectors kept for the Krylov solution: at most _BASIS_CAP * n floats
+_BASIS_CAP = 64
 
 
 class SolverError(RuntimeError):
@@ -87,7 +90,8 @@ class SpectralSolution:
     """Continuous optimum of the seed-correlated Rayleigh minimization.
 
     ``cg_iterations`` counts the iterations of the one CG solve that made
-    ``x`` (1 on the dense path), ``search_steps`` the evaluations of c(alpha)
+    ``x`` from the spectral or Krylov start (1, or more past the Lanczos
+    basis cap), ``search_steps`` the evaluations of c(alpha)
     in the final root find (>= 1 if the constraint is active) and
     ``lanczos_steps`` the Lanczos steps (matvecs) that built the spectrum it
     searched, 0 on the dense path; all three are 0 for the eigenvector.
@@ -197,8 +201,8 @@ def solve_shifted(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.node_count,):
         raise GraphError(f"vector length {b.shape} does not match n={g.node_count}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # also rejects nan
+        raise ValueError(f"tol must be positive, got {tol}")
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(g.node_count), 0
@@ -265,40 +269,23 @@ def secular_root(
         u = 1.0 / (theta - alpha)
         s1, s2, s3 = w @ u, w @ u**2, w @ u**3
         f = s1 / np.sqrt(s2) - kappa
-        # Stop before the bracket update: an exact root is never bisected away.
+        slope = (s2 * s2 - s1 * s3) / s2**1.5
+        step = f / slope if slope < 0 else np.inf
+        resolved = _C_RESOLUTION * max(1.0, abs(alpha))
+        # Stop before the bracket update: an exact root is never bisected
+        # away. Rounding can hold |f| above _C_RESOLUTION at the root, so a
+        # Newton correction below float resolution stops too, after step 1,
+        # where f < 0 at hi means the root lies below hi.
         if ((steps == 1 and f >= 0) or abs(f) <= _C_RESOLUTION
-                or hi - lo <= _C_RESOLUTION * max(1.0, abs(alpha))):
+                or (steps > 1 and abs(step) <= resolved) or hi - lo <= resolved):
             break
         if f > 0:
             lo = alpha
         else:
             hi = alpha
-        slope = (s2 * s2 - s1 * s3) / s2**1.5
-        newton = alpha - f / slope if slope < 0 else hi
+        newton = alpha - step
         alpha = newton if lo < newton < hi else 0.5 * (lo + hi)
     return float(alpha), steps
-
-
-def _moments(theta: np.ndarray, w: np.ndarray, alpha: float) -> tuple[float, float]:
-    u = 1.0 / (theta - alpha)
-    return float(w @ u), float(w @ u**2)
-
-
-def correlation_bracket(
-    gauss: tuple[np.ndarray, np.ndarray],
-    radau: tuple[np.ndarray, np.ndarray],
-    alpha: float,
-) -> tuple[float, float]:
-    """Bounds c_lo <= c(alpha) <= c_hi from the Gauss pairs (theta, w) of a
-    Lanczos tridiagonal and the Gauss-Radau pairs of its extension with a
-    prescribed node in (alpha, lambda1]. On the spectrum 1/(t - alpha)^j has
-    positive even and negative odd derivatives, so Gauss underestimates s1
-    and s2 and Gauss-Radau overestimates them: c_lo = s1_G / sqrt(s2_R) and
-    c_hi = s1_R / sqrt(s2_G).
-    """
-    s1_g, s2_g = _moments(*gauss, alpha)
-    s1_r, s2_r = _moments(*radau, alpha)
-    return s1_g / np.sqrt(s2_r), s1_r / np.sqrt(s2_g)
 
 
 def lanczos_root(
@@ -308,27 +295,26 @@ def lanczos_root(
     lo: float,
     hi: float,
     tol: float,
-    eps: float,
-) -> tuple[float, int, int]:
+) -> tuple[float, int, int, np.ndarray]:
     """``secular_root`` over the Ritz pairs (theta, |b|^2 z[0]^2) of the
     tridiagonal T_k = Z diag(theta) Z' of Lanczos on Lnorm started at b,
-    without reorthogonalization or a stored basis. Stops at the first step
-    k where the ``correlation_bracket`` at the current root lies within
-    ``eps / 2`` of ``kappa``; its Gauss-Radau matrix extends T_k by beta_k
-    and the diagonal omega = hi + beta_k^2 sum_i z[-1, i]^2 / (theta_i - hi),
-    which makes ``hi`` an eigenvalue. The bracket is skipped at a root equal
-    to ``hi``, where its upper end is infinite. Stops earlier at breakdown
-    or once the Ritz residual bound beta_k |e_k'(T_k - alpha)^{-1} e1|, the
-    relative residual CG reaches in the same Krylov space, is at most
-    ``tol``. Returns the root, the evaluations of c in its final root find
-    and k.
+    without reorthogonalization, and the Krylov solution of
+    (Lnorm - alpha) y = b at that root, y = Q_k Z (|b| z[0] / (theta - alpha)).
+    Runs until breakdown or until the Ritz residual bound
+    beta_k |e_k'(T_k - alpha)^{-1} e1|, the relative residual of y and so of
+    CG in the same Krylov space, is at most ``tol`` at the current root.
+    Only the first ``_BASIS_CAP`` basis vectors are kept; past them y is the
+    sum over those, and the certifying CG solve makes up the rest. Returns
+    the root, the evaluations of c in its final root find, k and y.
     """
     bnorm = float(np.linalg.norm(b))
     q_prev, q = np.zeros_like(b), b / bnorm
-    diag, off = [], []
+    basis, diag, off = [], [], []
     beta = 0.0
     cap = 20 * g.node_count
     for k in range(1, cap + 1):
+        if k <= _BASIS_CAP:
+            basis.append(q)
         v = normalized_laplacian_apply(g, q) - beta * q_prev
         diag.append(float(q @ v))
         v -= diag[-1] * q
@@ -340,18 +326,14 @@ def lanczos_root(
                 f"Ritz value {theta[0]:.6g} lies below the shift bracket end "
                 f"{hi:.6g}: the eigenvalue estimate is too high"
             )
-        w = bnorm**2 * z[0] ** 2
-        alpha, steps = secular_root(theta, w, kappa, lo, hi)
-        resid = beta * abs(float(z[-1] @ (z[0] / (theta - alpha))))
+        alpha, steps = secular_root(theta, bnorm**2 * z[0] ** 2, kappa, lo, hi)
+        u = z[0] / (theta - alpha)  # (T_k - alpha)^{-1} e1 = Z u
+        resid = beta * abs(float(z[-1] @ u))
         if resid <= tol or beta <= _BREAKDOWN:
-            return alpha, steps, k
-        if alpha < hi:
-            omega = hi + beta**2 * float(z[-1] ** 2 @ (1.0 / (theta - hi)))
-            theta_r, z_r = eigh_tridiagonal(diag + [omega], off + [beta])
-            c_lo, c_hi = correlation_bracket(
-                (theta, w), (theta_r, bnorm**2 * z_r[0] ** 2), alpha)
-            if abs(c_lo - kappa) <= eps / 2 and abs(c_hi - kappa) <= eps / 2:
-                return alpha, steps, k
+            y = np.zeros_like(b)
+            for q_j, y_j in zip(basis, z[: len(basis)] @ (bnorm * u)):
+                y += y_j * q_j
+            return alpha, steps, k, y
         off.append(beta)
         q_prev, q = q, v / beta
     raise ConvergenceError(f"Lanczos hit the {cap}-step cap", resid)
@@ -370,16 +352,19 @@ def solve_seeded(
     constraint is inactive and the eigenvector is returned (its objective,
     the smallest eigenvalue, is the unconstrained minimum), and so is the
     solve at lambda1 - SHIFT_GUARD when c stays above ``kappa`` up to there.
-    Otherwise one CG solve at the secular root, on the dense path started at
-    the spectral solution (see the module docstring), produces x, and a
-    ``SolverError`` is raised unless its correlation lies within ``eps`` of
-    ``kappa``, which fails only for an ``eps`` finer than floating point
-    resolves c.
+    Otherwise one CG solve to ``cg_tol`` at the secular root, started at
+    the spectral or Krylov solution (see the module docstring), produces x,
+    and a ``SolverError`` is raised unless its correlation lies within
+    ``eps`` of ``kappa``, which fails only for an ``eps`` finer than
+    floating point resolves c. ``eps`` is only that certificate's bound:
+    Lanczos runs to ``cg_tol`` whatever its value.
     """
     if not 0.0 <= kappa < 1.0:
         raise SolverError(f"kappa must lie in [0, 1), got {kappa}")
-    if eps <= 0:
-        raise SolverError("eps must be positive")
+    if not eps > 0:  # also rejects nan
+        raise SolverError(f"eps must be positive, got {eps}")
+    if not cg_tol > 0:
+        raise SolverError(f"cg_tol must be positive, got {cg_tol}")
 
     warnings: list[str] = []
     eig = smallest_eigenpair(g)
@@ -397,7 +382,7 @@ def solve_seeded(
         )
 
     active = kappa > c_limit
-    lanczos_steps, x0 = 0, None
+    lanczos_steps = 0
     if not active:
         x, alpha, c, objective, iters, steps = v1, lam1, c_limit, lam1, 0, 0
     else:
@@ -405,18 +390,19 @@ def solve_seeded(
         lo = min(shift_lower_bound(kappa), hi)
         b = np.sqrt(g.degrees) * s.values
         if eig.spectrum is None:
-            alpha, steps, lanczos_steps = lanczos_root(g, b, kappa, lo, hi, cg_tol, eps)
+            alpha, steps, lanczos_steps, y0 = lanczos_root(g, b, kappa, lo, hi, cg_tol)
         else:
             theta, u = eig.spectrum
             ub = u.T @ b
             alpha, steps = secular_root(theta, ub**2, kappa, lo, hi)
-            x0 = (u @ (ub / (theta - alpha))) / np.sqrt(g.degrees)
-        raw, iters = solve_shifted(g, alpha, ds, tol=cg_tol, x0=x0)
+            y0 = u @ (ub / (theta - alpha))
+        raw, iters = solve_shifted(g, alpha, ds, tol=cg_tol, x0=y0 / np.sqrt(g.degrees))
         raw_norm2 = float(raw @ (g.degrees * raw))
         x = raw / np.sqrt(raw_norm2)
         c = float(x @ ds)
-        # x'Lx = alpha + (raw'Ds - raw'r) / raw'D raw for CG's residual r: from 0, r is
-        # orthogonal to raw; from the spectral start, raw'r is rounding (~1e-15 of x'Lx).
+        # x'Lx = alpha + (raw'Ds - raw'r) / raw'D raw for CG's residual r, and
+        # raw'r is rounding (~1e-15 of x'Lx) from a spectral or Krylov start;
+        # after a capped basis it is of the order of cg_tol.
         objective = alpha + float(raw @ ds) / raw_norm2
         active = alpha < hi
         if not active:

@@ -41,8 +41,14 @@ class TestQueryCommand:
         code = main(["query", "--graph", str(t3_file), "--s1", "zzz"])
         assert code == 2
 
-    def test_bad_kappa_is_solver_error(self, t3_file):
+    def test_bad_kappa_is_usage_error(self, t3_file, capsys):
         code = main(["query", "--graph", str(t3_file), "--s1", "a", "--kappa", "1.0"])
+        assert code == 1
+        assert "argument --kappa: must lie in [0, 1), got 1.0" in capsys.readouterr().err
+
+    def test_unreachable_eps_is_solver_error(self, t3_file):
+        code = main(["query", "--graph", str(t3_file), "--s1", "a", "--s2", "c",
+                     "--kappa", "0.9", "--eps", "1e-18"])
         assert code == 3
 
     @pytest.mark.parametrize("k", ["0", "0.5", "1", "-1"])
@@ -74,6 +80,20 @@ def test_count_out_of_range_is_usage_error(args, message, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and message in err
+
+
+@pytest.mark.parametrize("args, option, rule", [
+    (["query", "--graph", "g.edges", "--kappa", "-0.1"], "--kappa", "lie in [0, 1)"),
+    (["experiment", "--kappas", "0.5,1.2"], "--kappas", "lie in [0, 1)"),
+    (["query", "--graph", "g.edges", "--eps", "0"], "--eps", "be positive"),
+    (["experiment", "--eps", "nan"], "--eps", "be positive"),
+    (["experiment", "--eta", "0,2"], "--eta", "lie in [0, 1]"),
+    (["synth", "--eta", "-0.5", "--out", "x"], "--eta", "lie in [0, 1]"),
+])
+def test_value_out_of_range_is_usage_error(args, option, rule, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {option}: must {rule}, got ")
 
 
 @pytest.mark.parametrize("args, option", [

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,6 +146,11 @@ class TestSolveShifted:
         r = laplacian_apply(t3, x) + 0.3 * t3.degrees * x - b
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+    def test_tolerance_that_is_not_positive_is_rejected(self, t3, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_shifted(t3, -0.5, np.array([1.0, -1.0, 0.5]), tol=tol)
+
     def test_iteration_cap_raises_with_residual(self, t3):
         with pytest.raises(ConvergenceError) as exc:
             solve_shifted(t3, -0.5, np.array([1.0, -1.0, 0.5]), tol=1e-15, max_iter=1)
@@ -266,6 +270,20 @@ class TestSolveSeeded:
         with pytest.raises(SolverError):
             solve_seeded(t3, s, kappa=-0.1)
 
+    @pytest.mark.parametrize("eps", [0.0, np.nan])
+    def test_eps_that_is_not_positive_is_rejected(self, t3, eps):
+        # a nan eps would pass every certificate
+        s = seed_vector(t3, {0}, {2})
+        with pytest.raises(SolverError, match="eps must be positive"):
+            solve_seeded(t3, s, kappa=0.9, eps=eps)
+
+    @pytest.mark.parametrize("source", ["dense", "lanczos"])
+    def test_nan_cg_tol_is_rejected(self, t3, source):
+        # a nan tolerance would run Lanczos to its 20n-step cap
+        s = seed_vector(t3, {0}, {2})
+        with pytest.raises(SolverError, match="cg_tol must be positive"):
+            solve_on(t3, s, 0.9, source, cg_tol=np.nan)
+
     def test_correlation_near_one_is_reached(self, t3):
         # c reaches kappa only at alpha of order -1e5 on T3
         s = seed_vector(t3, {0}, {2})
@@ -307,14 +325,12 @@ class TestSolveSeeded:
         assert sol.objective <= 1e-10
 
 
-def solve_on(g, s, kappa, source=None, lanczos_eps=None, **kwargs):
+def solve_on(g, s, kappa, source=None, **kwargs):
     """``solve_seeded`` on the spectral source its graph size selects, or on
     Lanczos when ``source`` is "lanczos"; returns the solution and the CG
-    iterations of each ``spectral.solve_shifted`` call it made. With
-    ``lanczos_eps``, Lanczos runs to that eps instead of the solver's."""
+    iterations of each ``spectral.solve_shifted`` call it made."""
     calls = []
     solve, eig = spectral.solve_shifted, spectral.smallest_eigenpair
-    root = spectral.lanczos_root
 
     def counting(*args, **kw):
         out = solve(*args, **kw)
@@ -326,28 +342,8 @@ def solve_on(g, s, kappa, source=None, lanczos_eps=None, **kwargs):
         if source == "lanczos":
             mp.setattr(spectral, "smallest_eigenpair",
                        lambda g: replace(eig(g), spectrum=None))
-        if lanczos_eps is not None:
-            mp.setattr(spectral, "lanczos_root",
-                       lambda *args: root(*args[:-1], lanczos_eps))
         sol = solve_seeded(g, s, kappa=kappa, **kwargs)
     return sol, calls
-
-
-@contextmanager
-def recorded_brackets():
-    """Collects (alpha, c_lo, c_hi) of every ``correlation_bracket`` that
-    ``lanczos_root`` computes inside the block."""
-    brackets = []
-    bracket = spectral.correlation_bracket
-
-    def recording(gauss, radau, alpha):
-        out = bracket(gauss, radau, alpha)
-        brackets.append((alpha, *out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "correlation_bracket", recording)
-        yield brackets
 
 
 NEARLY_ORTHOGONAL = "nearly D-orthogonal"
@@ -485,7 +481,7 @@ class TestSecularSources:
         two_sided=st.booleans(),
         kappa=st.floats(0.0, 0.999999, exclude_min=True),
     )
-    # the bracket stop moves this Lanczos root off the dense one, inside eps
+    # a Lanczos root that a stop at eps once left off the dense one
     @example(n=4, extra=60, graph_seed=4, weighted=False, neg_fraction=0.2,
              two_sided=False, kappa=0.998046875)
     def test_both_sources_match_dense_solve(
@@ -497,15 +493,10 @@ class TestSecularSources:
         for source in SOURCES:
             sols[source], calls = solve_on(g, s, kappa, source, eps=eps, cg_tol=1e-11)
             _assert_matches_dense(g, s, kappa, sols[source], calls, eps=eps)
-        # The bracket stop pins the Lanczos root's true correlation to eps / 2.
-        alpha = sols["lanczos"].alpha
-        if sols["lanczos"].constraint_active:
-            assert abs(_dense_correlation(g, s, alpha) - kappa) <= eps / 2 + 1e-12
-        # At an eps the bracket cannot meet, the Ritz residual stop governs
-        # and the Lanczos root is the dense one.
-        sol, _ = solve_on(g, s, kappa, "lanczos", eps=eps, cg_tol=1e-11,
-                          lanczos_eps=2 * spectral._C_RESOLUTION)
-        assert sol.alpha == pytest.approx(sols["dense"].alpha, rel=1e-9, abs=1e-12)
+        # Lanczos runs until its Krylov solution meets cg_tol, so its root
+        # is the dense one.
+        assert sols["lanczos"].alpha == pytest.approx(sols["dense"].alpha,
+                                                      rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("edges, s1, s2, kappa", [
@@ -561,99 +552,83 @@ def planted():
     return g, seed_vector(g, {g.index_of(min(band1))}, {g.index_of(min(band2))})
 
 
-class TestCorrelationBracket:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n=st.integers(4, 60),
-        extra=st.integers(0, 120),
-        graph_seed=st.integers(0, 2**32 - 1),
-        weighted=st.booleans(),
-        neg_fraction=st.sampled_from([0.0, 0.2, 0.5]),
-        two_sided=st.booleans(),
-        kappa=st.floats(0.0, 0.999999, exclude_min=True),
-    )
-    def test_bracket_holds_dense_correlation(
-        self, n, extra, graph_seed, weighted, neg_fraction, two_sided, kappa
-    ):
-        g, s = _seeded_graph(n, extra, graph_seed, weighted, neg_fraction, two_sided)
-        with recorded_brackets() as brackets:
-            solve_on(g, s, kappa, "lanczos")
-        for alpha, c_lo, c_hi in brackets:
-            c = _dense_correlation(g, s, alpha)
-            assert c_lo - 1e-12 <= c <= c_hi + 1e-12
+def counted_matvecs(monkeypatch):
+    """A list that grows by one on every ``spectral.laplacian_apply``."""
+    calls = []
+    apply = spectral.laplacian_apply
 
-    @staticmethod
-    def lanczos_run(g, s, kappa, eps, bracket=True):
-        """Matvecs of ``lanczos_root`` at ``eps`` (without the bracket stop
-        if ``bracket`` is False) in a solve certified to 1e-3, and the
-        brackets it computed."""
-        matvecs = []
-        apply = spectral.normalized_laplacian_apply
+    def counting(*args):
+        calls.append(1)
+        return apply(*args)
 
-        def counting(*args):
-            matvecs.append(1)
-            return apply(*args)
-
-        with recorded_brackets() as brackets, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "normalized_laplacian_apply", counting)
-            if not bracket:
-                mp.setattr(spectral, "correlation_bracket", lambda *a: (-np.inf, np.inf))
-            sol, _ = solve_on(g, s, kappa, lanczos_eps=eps)
-        assert sol.lanczos_steps == len(matvecs)
-        return len(matvecs), brackets
-
-    @pytest.mark.parametrize("kappa", [0.2, 0.5, 0.9])
-    def test_bracket_stop_saves_steps(self, planted, kappa):
-        g, s = planted
-        residual_only, _ = self.lanczos_run(g, s, kappa, 1e-3, bracket=False)
-        steps = {}
-        for eps in (1e-3, 1e-6, 1e-10, 1e-14):
-            steps[eps], brackets = self.lanczos_run(g, s, kappa, eps)
-            assert steps[eps] <= residual_only
-            # Lanczos stops at the first bracket inside eps / 2 of kappa.
-            inside = [abs(lo - kappa) <= eps / 2 and abs(hi - kappa) <= eps / 2
-                      for _, lo, hi in brackets]
-            assert not any(inside[:-1])
-            if steps[eps] < residual_only:
-                assert inside[-1]
-        assert steps[1e-3] < steps[1e-14]
+    monkeypatch.setattr(spectral, "laplacian_apply", counting)
+    return calls
 
 
 class TestWorkDone:
     """Exact counts of the work a warm query does, so that a change in work
     fails here rather than waiting for a wall-time benchmark."""
 
-    @pytest.mark.parametrize("kappa, matvecs", [(0.2, 70), (0.5, 28), (0.9, 15)])
+    @pytest.mark.parametrize("kappa, matvecs", [(0.2, 48), (0.5, 24), (0.9, 14)])
     def test_laplacian_applications_per_warm_query(self, planted, monkeypatch,
                                                    kappa, matvecs):
+        # Lanczos steps, the residual of their Krylov solution and CG's steps.
         g, s = planted
-        calls = []
-        apply = spectral.laplacian_apply
-
-        def counting(*args):
-            calls.append(1)
-            return apply(*args)
-
-        monkeypatch.setattr(spectral, "laplacian_apply", counting)
+        calls = counted_matvecs(monkeypatch)
         sol = solve_seeded(g, s, kappa=kappa)
-        assert len(calls) == sol.lanczos_steps + sol.cg_iterations == matvecs
+        assert len(calls) == sol.lanczos_steps + 1 + sol.cg_iterations == matvecs
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.9])
+    def test_matrix_free_warm_query_confirms_the_krylov_start(self, planted,
+                                                             monkeypatch, kappa):
+        g, s = planted
+        calls = counted_matvecs(monkeypatch)
+        sol = solve_seeded(g, s, kappa=kappa)
+        assert sol.constraint_active and sol.lanczos_steps > 0
+        assert (len(calls), sol.cg_iterations) == (sol.lanczos_steps + 2, 1)
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9])
     def test_dense_warm_query_confirms_the_spectral_start(self, planted_dense,
                                                           monkeypatch, kappa):
         # One residual of the spectral start and one CG step that confirms it.
         g, s = planted_dense
-        calls = []
-        apply = spectral.laplacian_apply
-
-        def counting(*args):
-            calls.append(1)
-            return apply(*args)
-
-        monkeypatch.setattr(spectral, "laplacian_apply", counting)
+        calls = counted_matvecs(monkeypatch)
         sol = solve_seeded(g, s, kappa=kappa)
         assert sol.constraint_active
         assert (len(calls), sol.cg_iterations, sol.lanczos_steps) == (2, 1, 0)
+
+    def test_capped_basis_starts_cg_from_its_part(self, planted, monkeypatch):
+        # With 2 stored vectors the start is a poor one, and CG makes up the
+        # rest to the same tolerance, so the bands do not move.
+        g, s = planted
+        eps = 1e-3
+        full = solve_seeded(g, s, kappa=0.5, eps=eps)
+        monkeypatch.setattr(spectral, "_BASIS_CAP", 2)
+        capped = solve_seeded(g, s, kappa=0.5, eps=eps)
+        assert capped.lanczos_steps == full.lanczos_steps > 2
+        assert capped.cg_iterations > 1
+        assert abs(capped.correlation - 0.5) <= eps
+        ours, ref = fast_sweep(g, capped.x), fast_sweep(g, full.x)
+        assert (ours.c1, ours.c2) == (ref.c1, ref.c2)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.1, 0.2])
+    def test_root_finds_stop_at_float_resolution(self, planted, monkeypatch, kappa):
+        # Over 30 or more Ritz pairs rounding holds |c - kappa| above
+        # _C_RESOLUTION at the root; the Newton correction still vanishes,
+        # while bisecting the bracket shut took over 50 evaluations here.
+        g, s = planted
+        evaluations = []
+        root = spectral.secular_root
+
+        def recording(*args):
+            out = root(*args)
+            evaluations.append(out[1])
+            return out
+
+        monkeypatch.setattr(spectral, "secular_root", recording)
+        sol = solve_seeded(g, s, kappa=kappa)
+        assert sol.lanczos_steps == len(evaluations) > 30
+        assert max(evaluations) <= 8
 
 
 @pytest.fixture(scope="module")
