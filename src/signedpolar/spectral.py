@@ -17,7 +17,11 @@ r = (2 - alpha) / (-alpha), for every graph and seed, and
 ``shift_lower_bound`` solves that bound for kappa. Up to DENSE_EIG_LIMIT
 nodes the pairs come from the full eigendecomposition that
 ``smallest_eigenpair`` computes anyway; above it, from Lanczos on Lnorm
-started at b. Each source also yields the solution y of
+started at b, and there the eigenpair too is a Ritz pair of that one
+recurrence, ``_lanczos``, started at a fixed random vector. Neither run
+reorthogonalizes: the loss of orthogonality comes with convergence and
+does not spoil a converged Ritz pair (Paige, *Linear Algebra Appl.* 34,
+1980). Each source also yields the solution y of
 (Lnorm - alpha) y = b at the root: the dense path the spectral solution
 U (U'b / (theta - alpha)), exact to rounding, Lanczos its Krylov solution.
 Jacobi-preconditioned CG on L - alpha*D is CG on Lnorm - alpha started at b,
@@ -34,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from .graph import SignedGraph, SeedVector, GraphError
 
 # Graphs up to this size take the dense eigensolver path and keep the full
-# eigendecomposition; above it a matrix-free Lanczos iteration is used.
+# eigendecomposition; above it the matrix-free Lanczos recurrence is used.
 DENSE_EIG_LIMIT = 512
 
 # smallest_eigenpair's residual tolerance; SHIFT_GUARD absorbs its error
@@ -53,7 +56,8 @@ DEFAULT_CG_TOL = 1e-8
 _C_RESOLUTION = 4 * np.finfo(np.float64).eps
 _ROOT_STEPS = 100
 _BREAKDOWN = 1e-12  # a vanishing Lanczos coupling, against |Lnorm| <= 2
-# Lanczos vectors kept for the Krylov solution: at most _BASIS_CAP * n floats
+# Lanczos vectors kept for a Krylov solution or a Ritz vector: at most
+# _BASIS_CAP * n floats (at least 2, the pair a second pass resumes from)
 _BASIS_CAP = 64
 
 
@@ -77,12 +81,17 @@ class EigenPair:
     2-norm eigen-residual in the symmetric (D^{1/2}-scaled) coordinates.
     ``spectrum`` is the full eigendecomposition (theta, U) of Lnorm when the
     dense path computed it, and None on the matrix-free path.
+    ``lanczos_steps`` counts the Lanczos steps that found the pair, 0 on the
+    dense path. The eigensolve made that many matvecs, one more for the
+    residual and, past ``_BASIS_CAP`` steps, ``lanczos_steps - _BASIS_CAP + 1``
+    more to rebuild the basis vectors it did not keep.
     """
 
     lambda1: float
     v1: np.ndarray
     residual: float
     spectrum: tuple[np.ndarray, np.ndarray] | None = None
+    lanczos_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,13 +139,41 @@ def normalized_laplacian_apply(g: SignedGraph, y: np.ndarray) -> np.ndarray:
     return laplacian_apply(g, y / rootd) / rootd
 
 
+def _lanczos(g: SignedGraph, q: np.ndarray, q_prev: np.ndarray | None = None,
+             beta: float = 0.0):
+    """The Lanczos recurrence on Lnorm from the unit vector ``q``, without
+    reorthogonalization; ``q_prev`` and ``beta``, the previous vector and its
+    coupling to ``q``, resume a run. Step k yields the basis vector q_k, the
+    tridiagonal so far (its diagonal, k entries, and off-diagonal, k - 1) and
+    beta_k = |r_k|, the coupling to the next vector, after one matvec. The
+    caller stops at breakdown; the generator ends after 20 n steps.
+    """
+    if q_prev is None:
+        q_prev = np.zeros_like(q)
+    diag, off = [], []
+    for _ in range(20 * g.node_count):
+        v = normalized_laplacian_apply(g, q) - beta * q_prev
+        diag.append(float(q @ v))
+        v -= diag[-1] * q
+        beta = float(np.linalg.norm(v))
+        yield q, diag, off, beta
+        off.append(beta)
+        q_prev, q = q, v / beta
+
+
 def smallest_eigenpair(g: SignedGraph) -> EigenPair:
     """Smallest eigenpair of the normalized signed Laplacian.
 
     The eigenvalue lies in [0, 2] and is zero exactly when the graph is
     perfectly balanced. The result is cached on the graph. On
     graphs of up to DENSE_EIG_LIMIT nodes the pair also keeps the full
-    eigendecomposition it was read from.
+    eigendecomposition it was read from. Above it the pair is the bottom
+    Ritz pair of ``_lanczos`` started at a fixed random vector, run until
+    breakdown or until its residual bound beta_k |z_k| is at most
+    EIG_TOL / 4. The first ``_BASIS_CAP`` basis vectors are kept; a second
+    pass resumes the recurrence from the last two to rebuild the rest, so
+    the Ritz vector is the same bit for bit whatever the cap. A true
+    residual above EIG_TOL, or 20 n steps, raise ``ConvergenceError``.
     """
     if not g.is_connected():
         raise GraphError("eigensolver requires a connected graph")
@@ -147,6 +184,7 @@ def smallest_eigenpair(g: SignedGraph) -> EigenPair:
     n = g.node_count
     rootd = np.sqrt(g.degrees)
     spectrum = None
+    k = 0
     if n <= DENSE_EIG_LIMIT:
         a = g.adjacency.toarray()
         a += a.T  # disjoint triangles: the sum is exact
@@ -155,28 +193,33 @@ def smallest_eigenpair(g: SignedGraph) -> EigenPair:
         lam = float(vals[0])
         y = vecs[:, 0]
     else:
-        # Lanczos on the flipped operator 2I - Lnorm turns the smallest
-        # eigenvalue into the dominant one, which ARPACK finds matrix-free.
-        op = spla.LinearOperator(
-            (n, n),
-            matvec=lambda y: 2.0 * y - normalized_laplacian_apply(g, y),
-            dtype=np.float64,
-        )
-        v0 = np.random.default_rng(0).standard_normal(n)
-        maxiter = max(1000, int(50 * np.sqrt(n)))
-        try:
-            vals, vecs = spla.eigsh(op, k=1, which="LA", tol=EIG_TOL / 4,
-                                    v0=v0, maxiter=maxiter)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError("eigensolver did not converge", np.inf) from exc
-        lam = float(2.0 - vals[0])
-        y = vecs[:, 0]
+        q0 = np.random.default_rng(0).standard_normal(n)
+        basis = []
+        for k, (q, diag, off, beta) in enumerate(_lanczos(g, q0 / np.linalg.norm(q0)), 1):
+            if k <= _BASIS_CAP:
+                basis.append(q)
+            theta, z = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+            bound = beta * abs(float(z[-1, 0]))
+            if bound <= EIG_TOL / 4 or beta <= _BREAKDOWN:
+                break
+        else:
+            raise ConvergenceError(f"eigensolver hit the {20 * n}-step cap", bound)
+        lam, z = float(theta[0]), z[:, 0]
+        y = np.zeros(n)
+        for q_j, z_j in zip(basis, z):
+            y += z_j * q_j
+        if k > len(basis):  # rebuild q_{cap+1} .. q_k from the last kept pair
+            rerun = _lanczos(g, basis[-1], basis[-2], off[len(basis) - 2])
+            next(rerun)  # q_cap again
+            for z_j, (q_j, *_) in zip(z[len(basis):], rerun):  # z first: no extra step
+                y += z_j * q_j
 
     y = y / np.linalg.norm(y)
     resid = float(np.linalg.norm(normalized_laplacian_apply(g, y) - lam * y))
     if n > DENSE_EIG_LIMIT and resid > EIG_TOL:
         raise ConvergenceError("eigen-residual above tolerance", resid)
-    pair = EigenPair(lambda1=lam, v1=y / rootd, residual=resid, spectrum=spectrum)
+    pair = EigenPair(lambda1=lam, v1=y / rootd, residual=resid, spectrum=spectrum,
+                     lanczos_steps=k)
     g._cache["eig"] = pair
     return pair
 
@@ -308,17 +351,10 @@ def lanczos_root(
     the root, the evaluations of c in its final root find, k and y.
     """
     bnorm = float(np.linalg.norm(b))
-    q_prev, q = np.zeros_like(b), b / bnorm
-    basis, diag, off = [], [], []
-    beta = 0.0
-    cap = 20 * g.node_count
-    for k in range(1, cap + 1):
+    basis = []
+    for k, (q, diag, off, beta) in enumerate(_lanczos(g, b / bnorm), 1):
         if k <= _BASIS_CAP:
             basis.append(q)
-        v = normalized_laplacian_apply(g, q) - beta * q_prev
-        diag.append(float(q @ v))
-        v -= diag[-1] * q
-        beta = float(np.linalg.norm(v))
         theta, z = eigh_tridiagonal(diag, off)
         if theta[0] <= hi:
             # Ritz values never fall below the smallest eigenvalue.
@@ -334,9 +370,7 @@ def lanczos_root(
             for q_j, y_j in zip(basis, z[: len(basis)] @ (bnorm * u)):
                 y += y_j * q_j
             return alpha, steps, k, y
-        off.append(beta)
-        q_prev, q = q, v / beta
-    raise ConvergenceError(f"Lanczos hit the {cap}-step cap", resid)
+    raise ConvergenceError(f"Lanczos hit the {20 * g.node_count}-step cap", resid)
 
 
 def solve_seeded(

@@ -24,7 +24,7 @@ from signedpolar import (
     solve_shifted,
 )
 from signedpolar import spectral
-from signedpolar.graph import SeedVector
+from signedpolar.graph import SeedVector, SignedGraph
 from signedpolar.oracle import (
     bisect_shift,
     correlation_at,
@@ -72,6 +72,7 @@ class TestSmallestEigenpair:
         eig = smallest_eigenpair(t3)
         assert eig.lambda1 == pytest.approx(0.5, abs=1e-10)
         assert eig.residual <= 1e-8
+        assert eig.lanczos_steps == 0  # dense path
 
     def test_balanced_graph_zero(self, balanced_path):
         assert smallest_eigenpair(balanced_path).lambda1 == pytest.approx(0.0, abs=1e-12)
@@ -90,6 +91,35 @@ class TestSmallestEigenpair:
         lam_dense = np.linalg.eigvalsh(dense_normalized_laplacian(g))[0]
         assert eig.lambda1 == pytest.approx(lam_dense, abs=1e-7)
         assert eig.residual <= 1e-8
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(spectral.DENSE_EIG_LIMIT + 1, 600),
+        per_node=st.integers(0, 4),
+        graph_seed=st.integers(0, 2**32 - 1),
+        neg_fraction=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    )
+    def test_matrix_free_pair_matches_dense(self, n, per_node, graph_seed, neg_fraction):
+        g = make_random_graph(n, per_node * n, seed=graph_seed, weighted=True,
+                              neg_fraction=neg_fraction)
+        eig = smallest_eigenpair(g)
+        assert eig.spectrum is None and eig.residual <= spectral.EIG_TOL
+        vals, vecs = np.linalg.eigh(dense_normalized_laplacian(g))
+        assert eig.lambda1 == pytest.approx(vals[0], abs=1e-9)
+        if vals[1] - vals[0] >= 1e-3:
+            # |v1' D v1_dense| with v1_dense = vecs[:, 0] / sqrt(d)
+            assert abs(eig.v1 @ (np.sqrt(g.degrees) * vecs[:, 0])) >= 1 - 1e-6
+
+    def test_breakdown_on_complete_graph(self, monkeypatch):
+        # Lnorm of the complete positive graph has the eigenvalues 0 and
+        # n / (n - 1) only, so Lanczos breaks down at its second step.
+        n = spectral.DENSE_EIG_LIMIT + 8
+        u, v = np.triu_indices(n, 1)
+        g = SignedGraph(range(n), u, v, np.ones(len(u)))
+        calls = counted_matvecs(monkeypatch)
+        eig = smallest_eigenpair(g)
+        assert abs(eig.lambda1) <= 1e-12 and eig.residual <= spectral.EIG_TOL
+        assert len(calls) == eig.lanczos_steps + 1 <= 3
 
     def test_v1_degree_normalized(self, t3):
         eig = smallest_eigenpair(t3)
@@ -524,6 +554,17 @@ class TestSecularSources:
             with pytest.raises(SolverError, match="Ritz value"):
                 solve_seeded(t3, seed_vector(t3, {0}, {2}), kappa=0.9)
 
+    def test_eigenvalue_estimate_just_too_high_raises(self, planted):
+        # 1e-3 above lambda1 the seeded run's Ritz values fall below the
+        # bracket end before its Krylov solution converges.
+        g, s = planted
+        eig = smallest_eigenpair(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "smallest_eigenpair",
+                       lambda g: replace(eig, lambda1=eig.lambda1 + 1e-3))
+            with pytest.raises(SolverError, match="eigenvalue estimate is too high"):
+                solve_seeded(g, s, kappa=0.5)
+
     def test_lanczos_matches_reference_bisection(self):
         g, truth = generate(SynthParams(pairs=16, band_size=20, eta=0.01, rng_seed=3))
         assert g.node_count > spectral.DENSE_EIG_LIMIT
@@ -577,6 +618,29 @@ class TestWorkDone:
         calls = counted_matvecs(monkeypatch)
         sol = solve_seeded(g, s, kappa=kappa)
         assert len(calls) == sol.lanczos_steps + 1 + sol.cg_iterations == matvecs
+
+    def test_laplacian_applications_per_eigensolve(self, planted, monkeypatch):
+        # Lanczos steps and the true residual of the Ritz vector.
+        g, _ = planted
+        monkeypatch.delitem(g._cache, "eig")
+        calls = counted_matvecs(monkeypatch)
+        eig = smallest_eigenpair(g)
+        assert len(calls) == eig.lanczos_steps + 1 == 45
+
+    def test_capped_eigensolve_rebuilds_the_same_pair(self, planted, monkeypatch):
+        # Past the cap a second pass remakes the steps it did not keep, from
+        # the last two kept vectors, bit for bit.
+        g, _ = planted
+        full = smallest_eigenpair(g)
+        monkeypatch.delitem(g._cache, "eig")
+        monkeypatch.setattr(spectral, "_BASIS_CAP", 8)
+        calls = counted_matvecs(monkeypatch)
+        capped = smallest_eigenpair(g)
+        k = capped.lanczos_steps
+        assert k == full.lanczos_steps > 8
+        assert capped.lambda1 == full.lambda1
+        np.testing.assert_array_equal(capped.v1, full.v1)
+        assert len(calls) - (k + 1) == k - 8 + 1
 
     @pytest.mark.parametrize("kappa", [0.5, 0.9])
     def test_matrix_free_warm_query_confirms_the_krylov_start(self, planted,
