@@ -90,6 +90,7 @@ def _number(kind, test=None, rule=""):
 
 # The range tests are written so that nan fails them.
 _count_arg = _number(int, lambda n: n >= 1, "be at least 1")
+_nonnegative_arg = _number(int, lambda n: n >= 0, "be at least 0")
 _max_nodes_arg = _number(int, lambda n: ORACLE_MIN_NODES <= n <= BRUTE_FORCE_NODE_LIMIT,
                          f"lie in [{ORACLE_MIN_NODES}, {BRUTE_FORCE_NODE_LIMIT}]")
 _budget_arg = _number(float, lambda k: k > 1.0,
@@ -124,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="write a synthetic polarized graph")
     s.add_argument("--eta", type=_eta_arg, default=0.05)
-    s.add_argument("--pairs", type=int, default=8)
-    s.add_argument("--band-size", type=int, default=20)
-    s.add_argument("--outliers", type=int, default=0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--pairs", type=_count_arg, default=8)
+    s.add_argument("--band-size", type=_count_arg, default=20)
+    s.add_argument("--outliers", type=_nonnegative_arg, default=0)
+    s.add_argument("--seed", type=_nonnegative_arg, default=0)
     s.add_argument("--out", required=True,
                    help="prefix; writes <out>.edges and <out>.truth.json")
 
@@ -137,11 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--kappas", type=_list_of(_kappa_arg), default=(DEFAULT_KAPPA,))
     e.add_argument("--pairs", type=_count_arg, default=8)
     e.add_argument("--band-size", type=_count_arg, default=20)
-    e.add_argument("--outliers", type=int, default=0)
+    e.add_argument("--outliers", type=_nonnegative_arg, default=0)
     e.add_argument("--graphs", type=_count_arg, default=10)
     e.add_argument("--queries", type=_count_arg, default=10)
     e.add_argument("--eps", type=_eps_arg, default=DEFAULT_EPS, help=EPS_HELP)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_nonnegative_arg, default=0)
     e.add_argument("--timings", action="store_true",
                    help="append wall-time columns (breaks byte determinism)")
     e.add_argument("--out", default=None)
@@ -150,14 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the provable bounds on small instances")
     o.add_argument("--instances", type=_count_arg, default=30)
     o.add_argument("--max-nodes", type=_max_nodes_arg, default=12)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_nonnegative_arg, default=0)
 
     b = sub.add_parser("bench", help="timing smoke test on a synthetic graph")
     b.add_argument("--nodes", type=int, default=100_000)
     b.add_argument("--avg-degree", type=float, default=None)
     b.add_argument("--eta", type=_eta_arg, default=0.05)
     b.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_nonnegative_arg, default=0)
     b.add_argument("--doubling", action="store_true",
                    help="also time the rounding step on a dense vector, here "
                         "and at twice the node count")

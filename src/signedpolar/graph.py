@@ -120,32 +120,37 @@ def _or_positions(words: np.ndarray) -> None:
         words[a:b] |= np.arange(a, b, dtype=np.uint64)
 
 
-def _stable_sort(key: np.ndarray, *cols: np.ndarray) -> None:
-    """Sort the int64 ``key`` in place, stably, and each of the 8-byte
-    columns ``cols`` the same way.
+def _stable_sort(key: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Sort the non-negative int64 ``key`` in place, stably; returns the
+    column ``col`` in the same order, as a new array, and leaves ``col`` as
+    it is.
 
-    Keys must lie in ``[0, 2**(64 - bits))``, ``bits`` the width of an
-    index into ``key``. One ``np.sort`` of uint64 words, each a key above
-    its position, is several times faster than a stable argsort, and the
-    keys come out of the words without a gather. The columns are gathered
-    a block at a time, by the positions in the words' low bits, into one
-    spare array, so the permutation is never stored whole.
+    When ``bit_length(key.max()) + bit_length(len(key) - 1) <= 64``, one
+    ``np.sort`` of uint64 words, each a key above its position, is several
+    times faster than a stable argsort, and the keys come out of the words
+    without a gather; the column is gathered a block at a time, by the
+    positions in the words' low bits, so the permutation is never stored
+    whole. Wider keys take ``np.argsort(key, kind="stable")`` instead.
+    The build's pair keys lie below ``n**2``, so they pack whenever
+    ``bit_length(n**2) + bit_length(m - 1) <= 64``: 56 bits for 100k nodes
+    and 2.6M rows. 2.6M rows pack up to about 2M nodes, 30M rows up to
+    about 740k.
     """
     bits = np.uint64(max(1, (len(key) - 1).bit_length()))
     if len(key) and int(key.max()).bit_length() + int(bits) > 64:
-        raise GraphError("graph too large to index")
+        order = np.argsort(key, kind="stable")
+        key.sort()
+        return col[order]
     packed = key.view(np.uint64)
     packed <<= bits
     _or_positions(packed)
     packed.sort()
     low = (np.uint64(1) << bits) - np.uint64(1)
-    spare = np.empty(len(key) if cols else 0, dtype=np.int64)
-    for col in cols:
-        out = spare.view(col.dtype)
-        for a in range(0, len(key), _GATHER_BLOCK):
-            out[a : a + _GATHER_BLOCK] = col[(packed[a : a + _GATHER_BLOCK] & low).view(np.int64)]
-        col[:] = out
+    out = np.empty_like(col)
+    for a, b in _spans(len(key)):
+        out[a:b] = col[(packed[a:b] & low).view(np.int64)]
     packed >>= bits
+    return out
 
 
 def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
@@ -280,28 +285,29 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     dropped. The surviving pairs come out in ``(u, v)`` order, the order
     :class:`SignedGraph` takes and :func:`~signedpolar.io.write_edge_list`
     writes them in. Self-loops and zero or non-finite input weights are
-    rejected, reporting the first offending row. The build makes two sorts
-    of the rows, both in the merge.
+    rejected, reporting the first offending row. The build makes one sort
+    of the rows, by the pair key ``lo * n + hi``, in the merge.
     """
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
-    labels, lo, hi, w = _check_rows(edges)
-    # The edge list, unless the caller keeps it, is freed before its w is
-    # copied for the merge to sort, and each unmerged column once its
-    # merged copy exists.
-    del edges
-    w = w.copy()
-    keep = _merge_pairs(lo, hi, w)
-    lo = lo[keep]
-    hi = hi[keep]
+    labels, key, w = _check_rows(edges)
+    del edges  # unless the caller keeps the list, its columns go here
+    w, keep = _merge_pairs(key, w)
+    key = key[keep]
     w = w[keep]
-    return SignedGraph(labels, lo, hi, w)
+    # split each key back into its pair: lo in the key's own buffer
+    n = len(labels)
+    hi = np.empty_like(key)
+    for a, b in _spans(len(key)):
+        np.divmod(key[a:b], n, out=(key[a:b], hi[a:b]))
+    return SignedGraph(labels, key, hi, w)
 
 
-def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Check the edge list; returns its used labels, in list order, and the
-    rows as ``(lo, hi, w)`` columns numbered over those labels: ``lo`` and
-    ``hi`` new int64 arrays, ``w`` the list's own weights as float64."""
+def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray]:
+    """Check the edge list; returns its used labels, in list order, the
+    rows' pair keys ``lo * n + hi`` as a new int64 array, ``lo < hi``
+    numbered over those ``n`` labels, and the list's own weights as
+    float64. The keys are written a block of rows at a time."""
     # int32 and int64 columns are read as they are, others as int64
     u, v = (
         c if c.dtype in (np.int32, np.int64) else c.astype(np.int64)
@@ -334,42 +340,43 @@ def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray, np.ndarr
     ]
     if len(set(labels)) < len(labels):
         raise GraphError("edge list labels are not distinct")
-    lo = np.minimum(u, v, dtype=np.int64)
-    hi = np.maximum(u, v, dtype=np.int64)
-    if not every_label:
-        new_id = np.cumsum(used) - 1  # the used labels keep their order
-        for a, b in _spans(m):
-            lo[a:b] = new_id[lo[a:b]]
-            hi[a:b] = new_id[hi[a:b]]
-    return labels, lo, hi, w
+    new_id = None if every_label else np.cumsum(used) - 1  # used labels keep their order
+    n = len(labels)
+    key = np.empty(m, dtype=np.int64)
+    for a, b in _spans(m):
+        lo = np.minimum(u[a:b], v[a:b], dtype=np.int64)
+        hi = np.maximum(u[a:b], v[a:b], dtype=np.int64)
+        if new_id is not None:
+            lo, hi = new_id[lo], new_id[hi]
+        lo *= n
+        np.add(lo, hi, out=key[a:b])
+    return labels, key, w
 
 
-def _merge_pairs(lo: np.ndarray, hi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Sort the rows ``(lo, hi, w)`` in place into ``(lo, hi)`` order, equal
-    pairs in row order, and sum each repeated pair's weights into its first
-    row; returns the mask of the rows to keep, each pair's first row unless
-    its sum is zero.
+def _merge_pairs(key: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the pair keys ``key`` in place, equal keys in row order, and
+    sum each repeated pair's weights into its first row. Returns the rows'
+    weights in key order, as a new array with those sums, and the mask of
+    the rows to keep: each pair's first row unless its sum is zero.
 
-    The sort is a stable one by ``hi``, then one by ``lo``. Only the rows
-    of pairs that occur twice or more are summed, by one ``np.bincount``
-    over their run numbers. bincount adds a bin's weights in index order,
-    like a running ``+=`` from 0.0, so each sum has the bits of the
-    row-order sum; ``np.add.reduceat`` adds a run's tail pairwise and can
-    differ in the last bit.
+    The sort is one :func:`_stable_sort` of the keys. Only the rows of
+    pairs that occur twice or more are summed, by one ``np.bincount`` over
+    their run numbers. bincount adds a bin's weights in index order, like
+    a running ``+=`` from 0.0, so each sum has the bits of the row-order
+    sum; ``np.add.reduceat`` adds a run's tail pairwise and can differ in
+    the last bit.
     """
-    _stable_sort(hi, lo, w)
-    _stable_sort(lo, hi, w)
+    w = _stable_sort(key, w)
     head = np.empty(len(w), dtype=bool)  # the first row of each pair
     head[0] = True
-    np.not_equal(lo[1:], lo[:-1], out=head[1:])
-    head[1:] |= hi[1:] != hi[:-1]
+    np.not_equal(key[1:], key[:-1], out=head[1:])
     rep = ~head
     rep[:-1] |= rep[1:]  # every row of a pair that occurs twice or more
     w[rep & head] = np.bincount(np.cumsum(head[rep]) - 1, weights=w[rep])
     head &= w != 0
     if not head.any():
         raise GraphError("all edges cancelled during merging")
-    return head
+    return w, head
 
 
 def _membership(g: SignedGraph, c1, c2) -> np.ndarray:

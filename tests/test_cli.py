@@ -75,6 +75,14 @@ class TestQueryCommand:
     (["experiment", "--band-size", "0"], "must be at least 1"),
     (["experiment", "--seed-sizes", "0"], "must be at least 1"),
     (["experiment", "--seed-sizes", "2,-1"], "must be at least 1"),
+    (["synth", "--pairs", "0", "--out", "x"], "argument --pairs: must be at least 1"),
+    (["synth", "--band-size", "0", "--out", "x"], "argument --band-size: must be at least 1"),
+    (["synth", "--outliers", "-1", "--out", "x"], "argument --outliers: must be at least 0"),
+    (["experiment", "--outliers", "-1"], "argument --outliers: must be at least 0"),
+    (["oracle-check", "--seed", "-1"], "argument --seed: must be at least 0"),
+    (["experiment", "--seed", "-1"], "argument --seed: must be at least 0"),
+    (["synth", "--seed", "-1", "--out", "x"], "argument --seed: must be at least 0"),
+    (["bench", "--seed", "-1"], "argument --seed: must be at least 0"),
 ])
 def test_count_out_of_range_is_usage_error(args, message, capsys):
     assert main(args) == 1

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ class TestConstructor:
         arrays = {name for name, a in vars(adj).items() if isinstance(a, np.ndarray)}
         assert arrays == {"indptr", "indices", "data"}
 
-    def test_build_makes_two_sorts(self, monkeypatch):
+    def test_build_makes_one_sort(self, monkeypatch):
         g = random_signed_graph(200, 900, rng_seed=3)
         e = g.adjacency.tocoo()
         rows = [(g.labels[v], g.labels[u], w) for u, v, w in
@@ -117,13 +118,35 @@ class TestConstructor:
         calls = []
         real = graph_mod._stable_sort
 
-        def counting(key, *cols):
+        def counting(key, col):
             calls.append(len(key))
-            real(key, *cols)
+            return real(key, col)
 
         monkeypatch.setattr(graph_mod, "_stable_sort", counting)
         assert build_graph(rows).edge_count == g.edge_count
-        assert calls == [g.edge_count, g.edge_count]  # both in the merge
+        assert calls == [g.edge_count]  # the merge's one sort of the pair keys
+
+    def test_build_peak_per_row(self):
+        # 220k int32 rows on 2,000 nodes, a tenth of them repeats. The build
+        # holds the 8-byte pair keys and the sorted weights, then the graph's
+        # columns: about 25 bytes a row. The bound lies between a build that
+        # sorts whole lo and hi columns (33) and one that also makes the key
+        # as a new array beside them (40).
+        rng = np.random.default_rng(4)
+        u, v = rng.integers(0, 2000, (2, 200_000), dtype=np.int32)
+        u, v = u[u != v], v[u != v]
+        again = rng.integers(0, len(u), len(u) // 10)
+        u, v = np.concatenate([u, v[again]]), np.concatenate([v, u[again]])
+        w = np.where(rng.random(len(u)) < 0.5, -1.0, 1.0)
+        edges = EdgeList([f"n{i}" for i in range(2000)], u, v, w)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_graph(edges)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * len(w)
 
 
 def _pair_set(seed, n, m, weighted):
@@ -212,13 +235,32 @@ class TestEdgeOrder:
         with pytest.raises(GraphError, match="distinct with edge_u < edge_v"):
             SignedGraph([f"n{i}" for i in range(n)], u, v, w)
 
-    def test_keys_too_wide_to_pack_beside_positions_raise(self):
+    def test_keys_too_wide_to_pack_beside_positions_sort_stably(self):
         # 3 positions take 2 bits, so a 63-bit key leaves no room
-        with pytest.raises(GraphError, match="too large to index"):
-            graph_mod._stable_sort(np.array([0, 2**62, 1]))
-        key, pos = np.array([2**61, 0, 2**61]), np.arange(3)
-        graph_mod._stable_sort(key, pos)
-        assert key.tolist() == [0, 2**61, 2**61] and pos.tolist() == [1, 0, 2]
+        key, col = np.array([0, 2**62, 1]), np.arange(3)
+        out = graph_mod._stable_sort(key, col)
+        assert key.tolist() == [0, 1, 2**62] and out.tolist() == [0, 2, 1]
+        assert col.tolist() == [0, 1, 2]
+        key = np.array([2**61, 0, 2**61])  # 62 bits fit beside 2
+        out = graph_mod._stable_sort(key, np.arange(3))
+        assert key.tolist() == [0, 2**61, 2**61] and out.tolist() == [1, 0, 2]
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 300),
+           distinct=st.integers(1, 20), width=st.sampled_from([1, 8, 40, 55, 61, 62, 63]))
+    @settings(max_examples=80, deadline=None)
+    def test_stable_sort_matches_a_stable_argsort(self, seed, size, distinct, width):
+        # a few distinct keys, so that equal keys occur; keys of 55 bits
+        # or fewer pack beside up to 300 positions, wider ones fall back
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**width, distinct, dtype=np.int64)
+        key = values[rng.integers(0, distinct, size)]
+        col = rng.standard_normal(size)
+        order = np.argsort(key, kind="stable")
+        want_key, want_col, held = key[order], col[order], col.copy()
+        out = graph_mod._stable_sort(key, col)
+        assert np.array_equal(key, want_key)
+        assert np.array_equal(out.view(np.int64), want_col.view(np.int64))
+        assert np.array_equal(col.view(np.int64), held.view(np.int64))
 
 
 def _random_split(g, rng):
