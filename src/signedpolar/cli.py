@@ -45,6 +45,7 @@ from .synth import (
     generate_scaled,
     random_signed_graph,
     reference_average_degree,
+    scaled_min_nodes,
 )
 
 EXIT_OK = 0
@@ -53,6 +54,7 @@ EXIT_DATA = 2
 EXIT_SOLVER = 3
 
 ORACLE_MIN_NODES = 6  # the smallest random instance oracle-check draws
+_BENCH_PLANT = {"pairs": 8, "band_size": 20}  # bench's planted structure
 
 EPS_HELP = ("bound on |c - kappa| for the solution's seed correlation c, "
             "which the final solve must meet; the solver runs to a fixed "
@@ -98,12 +100,20 @@ _budget_arg = _number(float, lambda k: k > 1.0,
 _kappa_arg = _number(float, lambda k: 0.0 <= k < 1.0, "lie in [0, 1)")
 _eps_arg = _number(float, lambda e: e > 0.0, "be positive")
 _eta_arg = _number(float, lambda e: 0.0 <= e <= 1.0, "lie in [0, 1]")
+_degree_arg = _number(float, lambda d: 0.0 < d < np.inf, "be positive and finite")
+_BENCH_MIN_NODES = scaled_min_nodes(**_BENCH_PLANT)
+_bench_nodes_arg = _number(int, lambda n: n >= _BENCH_MIN_NODES,
+                           f"be at least {_BENCH_MIN_NODES}")
 
 
 def _list_of(item):
-    """An argparse type that reads a comma-separated list of ``item``."""
+    """An argparse type that reads a comma-separated list of ``item``; a
+    list with no item is a usage error."""
     def parse(text: str) -> tuple:
-        return tuple(item(t) for t in text.split(",") if t)
+        values = tuple(item(t) for t in text.split(",") if t)
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        return values
     return parse
 
 
@@ -154,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--seed", type=_nonnegative_arg, default=0)
 
     b = sub.add_parser("bench", help="timing smoke test on a synthetic graph")
-    b.add_argument("--nodes", type=int, default=100_000)
-    b.add_argument("--avg-degree", type=float, default=None)
+    b.add_argument("--nodes", type=_bench_nodes_arg, default=100_000)
+    b.add_argument("--avg-degree", type=_degree_arg, default=None)
     b.add_argument("--eta", type=_eta_arg, default=0.05)
     b.add_argument("--kappa", type=_kappa_arg, default=DEFAULT_KAPPA)
     b.add_argument("--seed", type=_nonnegative_arg, default=0)
@@ -268,9 +278,9 @@ def _dense_round_ms(g, rng_seed: int) -> float:
 def _cmd_bench(args) -> int:
     avg_degree = args.avg_degree
     if avg_degree is None:
-        ref = SynthParams(pairs=8, band_size=20, eta=args.eta, rng_seed=0)
-        avg_degree = reference_average_degree(ref)
-    g, _ = generate_scaled(args.nodes, avg_degree, eta=args.eta, rng_seed=args.seed)
+        avg_degree = reference_average_degree(SynthParams(**_BENCH_PLANT, eta=args.eta))
+    g, _ = generate_scaled(args.nodes, avg_degree, **_BENCH_PLANT, eta=args.eta,
+                           rng_seed=args.seed)
     pair = sample_seed_pairs(g, t=0.0, count=1, rng_seed=args.seed)[0]
     timings = query(g, [pair[0]], [pair[1]], kappa=args.kappa)["timings"]
     solve_ms, round_ms = timings["solve_ms"], timings["round_ms"]
@@ -283,9 +293,8 @@ def _cmd_bench(args) -> int:
         "total_ms": solve_ms + round_ms,
     }
     if args.doubling:
-        g2, _ = generate_scaled(
-            2 * args.nodes, avg_degree, eta=args.eta, rng_seed=args.seed + 1
-        )
+        g2, _ = generate_scaled(2 * args.nodes, avg_degree, **_BENCH_PLANT,
+                                eta=args.eta, rng_seed=args.seed + 1)
         dense_ms = _dense_round_ms(g, args.seed)
         doubled_ms = _dense_round_ms(g2, args.seed + 1)
         doc["doubled_nodes"] = g2.node_count

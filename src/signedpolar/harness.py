@@ -57,7 +57,7 @@ def query(
     correlation in the shift's root find, ``lanczos_steps``, the Lanczos
     matvecs behind it (0 on the dense path), and ``cg_iterations``, those
     of the one certifying CG solve, which starts at the spectral or Krylov
-    solution and so takes 1 unless the Lanczos basis was capped), quality
+    solution and so takes 1), quality
     metrics, and the solve/round wall times in ms. ``eps`` bounds
     |c - kappa| in that solve's certificate.
     """

@@ -225,13 +225,9 @@ def _split(buf: np.ndarray, has_comments: bool) -> tuple[np.ndarray, np.ndarray,
     if has_comments:
         sep |= _comment_mask(buf, breaks)
     bounds = np.flatnonzero(np.diff(sep, prepend=True, append=True))
-    # In the merged stream of token starts and line breaks, a line's tokens
-    # are the gap between its break and the one before.
-    sep[:] = is_break
-    sep[bounds[0::2]] = True
-    events = np.flatnonzero(sep)
-    break_events = np.flatnonzero(is_break[events])
-    per_line = np.diff(break_events, prepend=-1, append=len(events)) - 1
+    # the tokens that start before each break, less those of earlier lines
+    per_line = np.diff(np.searchsorted(bounds[0::2], breaks), prepend=0,
+                       append=len(bounds) // 2)
     return bounds, per_line, breaks
 
 

@@ -83,8 +83,7 @@ class EigenPair:
     dense path computed it, and None on the matrix-free path.
     ``lanczos_steps`` counts the Lanczos steps that found the pair, 0 on the
     dense path. The eigensolve made that many matvecs, one more for the
-    residual and, past ``_BASIS_CAP`` steps, ``lanczos_steps - _BASIS_CAP + 1``
-    more to rebuild the basis vectors it did not keep.
+    residual and the ``_basis_sum`` rebuild past ``_BASIS_CAP`` steps.
     """
 
     lambda1: float
@@ -99,9 +98,8 @@ class SpectralSolution:
     """Continuous optimum of the seed-correlated Rayleigh minimization.
 
     ``cg_iterations`` counts the iterations of the one CG solve that made
-    ``x`` from the spectral or Krylov start (1, or more past the Lanczos
-    basis cap), ``search_steps`` the evaluations of c(alpha)
-    in the final root find (>= 1 if the constraint is active) and
+    ``x`` from the spectral or Krylov start (1), ``search_steps`` the
+    evaluations of c(alpha) in the final root find (>= 1 if active) and
     ``lanczos_steps`` the Lanczos steps (matvecs) that built the spectrum it
     searched, 0 on the dense path; all three are 0 for the eigenvector.
     """
@@ -161,6 +159,23 @@ def _lanczos(g: SignedGraph, q: np.ndarray, q_prev: np.ndarray | None = None,
         q_prev, q = q, v / beta
 
 
+def _basis_sum(g: SignedGraph, basis: list, off: list, c: np.ndarray) -> np.ndarray:
+    """Q_k c over the first k = len(c) vectors of a ``_lanczos`` run whose
+    first vectors are kept in ``basis`` (at least 2) and whose off-diagonal
+    is ``off``. Past the kept ones a second pass resumes the recurrence from
+    the last two and their coupling, which remakes the rest bit for bit in
+    k - len(basis) + 1 matvecs, so the sum does not depend on the cap."""
+    y = np.zeros_like(basis[0])
+    for q_j, c_j in zip(basis, c):
+        y += c_j * q_j
+    if len(c) > len(basis):
+        rerun = _lanczos(g, basis[-1], basis[-2], off[len(basis) - 2])
+        next(rerun)  # the last kept vector again
+        for c_j, (q_j, *_) in zip(c[len(basis):], rerun):  # c first: no extra step
+            y += c_j * q_j
+    return y
+
+
 def smallest_eigenpair(g: SignedGraph) -> EigenPair:
     """Smallest eigenpair of the normalized signed Laplacian.
 
@@ -170,10 +185,8 @@ def smallest_eigenpair(g: SignedGraph) -> EigenPair:
     eigendecomposition it was read from. Above it the pair is the bottom
     Ritz pair of ``_lanczos`` started at a fixed random vector, run until
     breakdown or until its residual bound beta_k |z_k| is at most
-    EIG_TOL / 4. The first ``_BASIS_CAP`` basis vectors are kept; a second
-    pass resumes the recurrence from the last two to rebuild the rest, so
-    the Ritz vector is the same bit for bit whatever the cap. A true
-    residual above EIG_TOL, or 20 n steps, raise ``ConvergenceError``.
+    EIG_TOL / 4; ``_basis_sum`` forms its Ritz vector. A true residual
+    above EIG_TOL, or 20 n steps, raise ``ConvergenceError``.
     """
     if not g.is_connected():
         raise GraphError("eigensolver requires a connected graph")
@@ -204,15 +217,7 @@ def smallest_eigenpair(g: SignedGraph) -> EigenPair:
                 break
         else:
             raise ConvergenceError(f"eigensolver hit the {20 * n}-step cap", bound)
-        lam, z = float(theta[0]), z[:, 0]
-        y = np.zeros(n)
-        for q_j, z_j in zip(basis, z):
-            y += z_j * q_j
-        if k > len(basis):  # rebuild q_{cap+1} .. q_k from the last kept pair
-            rerun = _lanczos(g, basis[-1], basis[-2], off[len(basis) - 2])
-            next(rerun)  # q_cap again
-            for z_j, (q_j, *_) in zip(z[len(basis):], rerun):  # z first: no extra step
-                y += z_j * q_j
+        lam, y = float(theta[0]), _basis_sum(g, basis, off, z[:, 0])
 
     y = y / np.linalg.norm(y)
     resid = float(np.linalg.norm(normalized_laplacian_apply(g, y) - lam * y))
@@ -345,10 +350,9 @@ def lanczos_root(
     (Lnorm - alpha) y = b at that root, y = Q_k Z (|b| z[0] / (theta - alpha)).
     Runs until breakdown or until the Ritz residual bound
     beta_k |e_k'(T_k - alpha)^{-1} e1|, the relative residual of y and so of
-    CG in the same Krylov space, is at most ``tol`` at the current root.
-    Only the first ``_BASIS_CAP`` basis vectors are kept; past them y is the
-    sum over those, and the certifying CG solve makes up the rest. Returns
-    the root, the evaluations of c in its final root find, k and y.
+    CG in the same Krylov space, is at most ``tol`` at the current root;
+    ``_basis_sum`` forms y. Returns the root, the evaluations of c in its
+    final root find, k and y.
     """
     bnorm = float(np.linalg.norm(b))
     basis = []
@@ -366,10 +370,7 @@ def lanczos_root(
         u = z[0] / (theta - alpha)  # (T_k - alpha)^{-1} e1 = Z u
         resid = beta * abs(float(z[-1] @ u))
         if resid <= tol or beta <= _BREAKDOWN:
-            y = np.zeros_like(b)
-            for q_j, y_j in zip(basis, z[: len(basis)] @ (bnorm * u)):
-                y += y_j * q_j
-            return alpha, steps, k, y
+            return alpha, steps, k, _basis_sum(g, basis, off, z @ (bnorm * u))
     raise ConvergenceError(f"Lanczos hit the {20 * g.node_count}-step cap", resid)
 
 
@@ -435,8 +436,7 @@ def solve_seeded(
         x = raw / np.sqrt(raw_norm2)
         c = float(x @ ds)
         # x'Lx = alpha + (raw'Ds - raw'r) / raw'D raw for CG's residual r, and
-        # raw'r is rounding (~1e-15 of x'Lx) from a spectral or Krylov start;
-        # after a capped basis it is of the order of cg_tol.
+        # raw'r is rounding (~1e-15 of x'Lx) from a spectral or Krylov start.
         objective = alpha + float(raw @ ds) / raw_norm2
         active = alpha < hi
         if not active:

@@ -195,6 +195,12 @@ def random_signed_graph(
     return build_graph(EdgeList(labels, np.array(eu), np.array(ev), mag * sgn))
 
 
+def scaled_min_nodes(pairs: int, band_size: int) -> int:
+    """The fewest nodes ``generate_scaled`` takes: its planted bands and two
+    more."""
+    return 2 * pairs * band_size + 2
+
+
 def generate_scaled(
     n: int,
     avg_degree: float,
@@ -209,10 +215,10 @@ def generate_scaled(
     the remaining edge budget (to reach ``avg_degree``) is spent on uniform
     random pairs with balanced signs. Restricted to the largest component.
     """
-    if n < 2 * pairs * band_size + 2:
+    if n < scaled_min_nodes(pairs, band_size):
         raise SynthError("n too small for the requested planted structure")
-    if avg_degree <= 0:
-        raise SynthError("avg_degree must be positive")
+    if not 0 < avg_degree < np.inf:  # also rejects nan
+        raise SynthError(f"avg_degree must be positive and finite, got {avg_degree}")
     rng = np.random.default_rng(rng_seed)
     labels = _labels(n)
     m = band_size

@@ -83,6 +83,8 @@ class TestQueryCommand:
     (["experiment", "--seed", "-1"], "argument --seed: must be at least 0"),
     (["synth", "--seed", "-1", "--out", "x"], "argument --seed: must be at least 0"),
     (["bench", "--seed", "-1"], "argument --seed: must be at least 0"),
+    (["bench", "--nodes", "0"], "argument --nodes: must be at least 322, got 0"),
+    (["bench", "--nodes", "321"], "argument --nodes: must be at least 322, got 321"),
 ])
 def test_count_out_of_range_is_usage_error(args, message, capsys):
     assert main(args) == 1
@@ -97,6 +99,13 @@ def test_count_out_of_range_is_usage_error(args, message, capsys):
     (["experiment", "--eps", "nan"], "--eps", "be positive"),
     (["experiment", "--eta", "0,2"], "--eta", "lie in [0, 1]"),
     (["synth", "--eta", "-0.5", "--out", "x"], "--eta", "lie in [0, 1]"),
+    (["bench", "--avg-degree", "-3"], "--avg-degree", "be positive and finite"),
+    (["bench", "--avg-degree", "0"], "--avg-degree", "be positive and finite"),
+    (["bench", "--avg-degree", "nan"], "--avg-degree", "be positive and finite"),
+    (["bench", "--avg-degree", "inf"], "--avg-degree", "be positive and finite"),
+    (["experiment", "--kappas", ""], "--kappas", "list at least one value"),
+    (["experiment", "--eta", ","], "--eta", "list at least one value"),
+    (["experiment", "--seed-sizes", ",,"], "--seed-sizes", "list at least one value"),
 ])
 def test_value_out_of_range_is_usage_error(args, option, rule, capsys):
     assert main(args) == 1

@@ -661,19 +661,25 @@ class TestWorkDone:
         assert sol.constraint_active
         assert (len(calls), sol.cg_iterations, sol.lanczos_steps) == (2, 1, 0)
 
-    def test_capped_basis_starts_cg_from_its_part(self, planted, monkeypatch):
-        # With 2 stored vectors the start is a poor one, and CG makes up the
-        # rest to the same tolerance, so the bands do not move.
+    @pytest.mark.parametrize("cap", [2, 8])
+    @pytest.mark.parametrize("kappa", [0.2, 0.5, 0.9])
+    def test_capped_basis_rebuilds_the_same_solution(self, planted, monkeypatch,
+                                                     kappa, cap):
+        # Past the cap the Krylov solution remakes the vectors it did not
+        # keep, as the eigensolve does, so x is the uncapped one bit for bit
+        # and one CG step certifies it: k Lanczos steps, k - cap + 1 to
+        # rebuild, the start's residual and that step.
         g, s = planted
-        eps = 1e-3
-        full = solve_seeded(g, s, kappa=0.5, eps=eps)
-        monkeypatch.setattr(spectral, "_BASIS_CAP", 2)
-        capped = solve_seeded(g, s, kappa=0.5, eps=eps)
-        assert capped.lanczos_steps == full.lanczos_steps > 2
-        assert capped.cg_iterations > 1
-        assert abs(capped.correlation - 0.5) <= eps
-        ours, ref = fast_sweep(g, capped.x), fast_sweep(g, full.x)
-        assert (ours.c1, ours.c2) == (ref.c1, ref.c2)
+        full = solve_seeded(g, s, kappa=kappa)
+        monkeypatch.setattr(spectral, "_BASIS_CAP", cap)
+        calls = counted_matvecs(monkeypatch)
+        capped = solve_seeded(g, s, kappa=kappa)
+        k = capped.lanczos_steps
+        assert k == full.lanczos_steps > cap
+        np.testing.assert_array_equal(capped.x, full.x)
+        assert (capped.alpha, capped.correlation) == (full.alpha, full.correlation)
+        assert capped.cg_iterations == 1
+        assert len(calls) == k + (k - cap + 1) + 2
 
     @pytest.mark.parametrize("kappa", [0.05, 0.1, 0.2])
     def test_root_finds_stop_at_float_resolution(self, planted, monkeypatch, kappa):

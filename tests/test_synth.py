@@ -9,6 +9,7 @@ from signedpolar import (
     reference_average_degree,
     smallest_eigenpair,
 )
+from signedpolar.synth import scaled_min_nodes
 from signedpolar.oracle import beta
 
 
@@ -148,6 +149,18 @@ class TestGenerateScaled:
         assert avg == pytest.approx(20.0, rel=0.15)
         assert g1.is_connected()
         assert len(t1.pairs) == 8
+
+    @pytest.mark.parametrize("n, avg_degree", [
+        (scaled_min_nodes(8, 20) - 1, 20.0), (0, 20.0), (2000, 0.0), (2000, -3.0),
+        (2000, float("nan")), (2000, float("inf")), (2000, float("-inf")),
+    ])
+    def test_bad_arguments_raise(self, n, avg_degree):
+        with pytest.raises(SynthError):
+            generate_scaled(n, avg_degree)
+
+    def test_smallest_instance(self):
+        g, truth = generate_scaled(scaled_min_nodes(8, 20), 52.0)
+        assert g.node_count == 322 and len(truth.pairs) == 8
 
     def test_reference_average_degree(self):
         p = SynthParams(pairs=8, band_size=20, eta=0.05)
