@@ -30,11 +30,18 @@ Systems*, 2nd ed., 2003, section 6.7), so Lanczos runs until the residual of
 its solution is at most the CG tolerance. One preconditioned
 conjugate-gradient solve started at x0 = D^{-1/2} y certifies it, in one
 step on both paths, and the measured correlation of its result certifies
-the root to ``eps``.
+the root to ``eps``. All of it reaches the operator through
+``laplacian_apply``, which on graphs of at least _CONCURRENT_NNZ stored
+entries runs its row and column passes over U side by side, with the same
+bits as one after the other.
 """
 
 from __future__ import annotations
 
+import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +66,10 @@ _BREAKDOWN = 1e-12  # a vanishing Lanczos coupling, against |Lnorm| <= 2
 # Lanczos vectors kept for a Krylov solution or a Ritz vector: at most
 # _BASIS_CAP * n floats (at least 2, the pair a second pass resumes from)
 _BASIS_CAP = 64
+# Stored entries from which laplacian_apply runs its two passes side by
+# side: below it handing a pass to a thread costs more than it saves
+# (crossover table in BENCH_24.json)
+_CONCURRENT_NNZ = 1 << 17
 
 
 class SolverError(RuntimeError):
@@ -117,17 +128,50 @@ class SpectralSolution:
     warnings: tuple[str, ...] = field(default=())
 
 
+# laplacian_apply's row-pass thread, made on first use
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _rows_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="laplacian-rows")
+        return _worker
+
+
+def _forget_worker() -> None:
+    # A forked child inherits the executor but not its thread, so a task
+    # submitted to it would never run; the lock may have been held.
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, no stale worker
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 def laplacian_apply(g: SignedGraph, x: np.ndarray) -> np.ndarray:
     """Apply L = D - A with A = U + U', U the upper-triangle adjacency: one
     pass over U by rows and one by columns, through its zero-copy CSC
     transpose, kept on the graph because making it costs more than a small
-    graph's matvec; no other matrix is ever materialized."""
+    graph's matvec; no other matrix is ever materialized. From
+    _CONCURRENT_NNZ stored entries the two read-only passes run side by
+    side, the row pass on a worker thread (scipy's kernels release the
+    GIL); the same sums are added in the same order, so the result has the
+    same bits either way."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.node_count,):
         raise GraphError(f"vector length {x.shape} does not match n={g.node_count}")
     if "adjacency.T" not in g._cache:  # benign race: the view is the same
         g._cache["adjacency.T"] = g.adjacency.T
-    return g.degrees * x - (g.adjacency @ x + g._cache["adjacency.T"] @ x)
+    if g.adjacency.nnz < _CONCURRENT_NNZ:
+        return g.degrees * x - (g.adjacency @ x + g._cache["adjacency.T"] @ x)
+    rows = _rows_worker().submit(operator.matmul, g.adjacency, x)
+    cols = g._cache["adjacency.T"] @ x
+    return g.degrees * x - (rows.result() + cols)
 
 
 def normalized_laplacian_apply(g: SignedGraph, y: np.ndarray) -> np.ndarray:

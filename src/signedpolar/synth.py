@@ -214,6 +214,8 @@ def generate_scaled(
     The planted pairs follow the same within/cross sign rule as ``generate``;
     the remaining edge budget (to reach ``avg_degree``) is spent on uniform
     random pairs with balanced signs. Restricted to the largest component.
+    An ``avg_degree`` that the planted edges alone reach leaves no filler
+    budget and raises ``SynthError``.
     """
     if n < scaled_min_nodes(pairs, band_size):
         raise SynthError("n too small for the requested planted structure")
@@ -234,26 +236,32 @@ def generate_scaled(
     ev = iv[keep]
     ew = sign[keep].astype(np.float64)
 
-    target_edges = int(round(n * avg_degree / 2.0))
-    budget = max(0, target_edges - len(eu))
-    if budget:
-        # Oversample, canonicalize, and drop self-pairs, planted collisions
-        # and duplicates; the smallest keys are kept. Sorting drops the
-        # duplicates in a fraction of np.unique's time on int64 keys.
-        cand = rng.integers(0, n, size=(int(budget * 1.15) + 16, 2))
-        cand = cand[cand[:, 0] != cand[:, 1]]
-        lo_i = np.minimum(cand[:, 0], cand[:, 1]).astype(np.int64)
-        hi_i = np.maximum(cand[:, 0], cand[:, 1]).astype(np.int64)
-        key = lo_i * n + hi_i
-        in_planted = (lo_i < planted) & (hi_i < planted)
-        key = key[~in_planted]
-        key.sort()
-        key = key[np.diff(key, prepend=-1) > 0][:budget]  # keys are >= 0
-        bu = key // n
-        bv = key % n
-        bsign = np.where(rng.random(len(key)) < 0.5, 1.0, -1.0)
-        eu = np.concatenate([eu, bu])
-        ev = np.concatenate([ev, bv])
-        ew = np.concatenate([ew, bsign])
+    budget = int(round(n * avg_degree / 2.0)) - len(eu)
+    if budget <= 0:
+        # Without filler no edge joins the pairs, and the largest component
+        # would be a single planted pair.
+        raise SynthError(
+            f"avg_degree {avg_degree:g} on {n} nodes leaves no filler edge "
+            f"beside the {len(eu)} planted ones: it must be above "
+            f"{(2 * len(eu) + 1) / n:.6g}"
+        )
+    # Oversample, canonicalize, and drop self-pairs, planted collisions
+    # and duplicates; the smallest keys are kept. Sorting drops the
+    # duplicates in a fraction of np.unique's time on int64 keys.
+    cand = rng.integers(0, n, size=(int(budget * 1.15) + 16, 2))
+    cand = cand[cand[:, 0] != cand[:, 1]]
+    lo_i = np.minimum(cand[:, 0], cand[:, 1]).astype(np.int64)
+    hi_i = np.maximum(cand[:, 0], cand[:, 1]).astype(np.int64)
+    key = lo_i * n + hi_i
+    in_planted = (lo_i < planted) & (hi_i < planted)
+    key = key[~in_planted]
+    key.sort()
+    key = key[np.diff(key, prepend=-1) > 0][:budget]  # keys are >= 0
+    bu = key // n
+    bv = key % n
+    bsign = np.where(rng.random(len(key)) < 0.5, 1.0, -1.0)
+    eu = np.concatenate([eu, bu])
+    ev = np.concatenate([ev, bv])
+    ew = np.concatenate([ew, bsign])
 
     return _with_truth(build_graph(EdgeList(labels, eu, ev, ew)), labels, pairs, m, ())

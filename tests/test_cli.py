@@ -164,6 +164,11 @@ class TestExperimentCommand:
 
 
 class TestBenchCommand:
+    def test_degree_without_filler_is_data_error(self, capsys):
+        assert main(["bench", "--nodes", "2000", "--avg-degree", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "leaves no filler edge" in err and "must be above 6.0775" in err
+
     def test_doubling_run_prints_its_timings(self, capsys):
         assert main(["bench", "--nodes", "2000", "--doubling"]) == 0
         doc = json.loads(capsys.readouterr().out)

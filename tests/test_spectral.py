@@ -1,6 +1,9 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from signedpolar import (
     build_graph,
     fast_sweep,
     generate,
+    generate_scaled,
     laplacian_apply,
     random_signed_graph,
     seed_vector,
@@ -24,7 +28,7 @@ from signedpolar import (
     solve_shifted,
 )
 from signedpolar import spectral
-from signedpolar.graph import SeedVector, SignedGraph
+from signedpolar.graph import EdgeList, SeedVector, SignedGraph
 from signedpolar.oracle import (
     bisect_shift,
     correlation_at,
@@ -65,6 +69,146 @@ class TestLaplacianApply:
             np.testing.assert_allclose(
                 laplacian_apply(g, x), dense_l @ x, rtol=1e-12, atol=1e-12
             )
+
+
+def _sequential_apply(g, x):
+    """L x with the two passes over U one after the other."""
+    u = g.adjacency
+    return g.degrees * x - (u @ x + u.T @ x)
+
+
+def _wide_graph(n, per_node, rng_seed):
+    """A weighted signed graph on ``n`` nodes with about ``per_node * n``
+    edges, built from arrays through ``EdgeList``."""
+    rng = np.random.default_rng(rng_seed)
+    a, b = rng.integers(0, n, size=(2, per_node * n))
+    keep = a != b
+    key = np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+    w = rng.uniform(0.5, 2.0, len(key)) * np.where(rng.random(len(key)) < 0.5, -1, 1)
+    return build_graph(EdgeList(list(range(n)), key // n, key % n, w))
+
+
+@pytest.fixture(scope="module")
+def wide_planted():
+    """A planted graph with more stored entries than _CONCURRENT_NNZ, its
+    eigenpair uncached, and a seed on its first pair."""
+    g, truth = generate_scaled(12000, 24.0, rng_seed=1)
+    assert g.adjacency.nnz >= spectral._CONCURRENT_NNZ
+    band1, band2 = truth.pairs[0]
+    return g, seed_vector(g, {g.index_of(min(band1))}, {g.index_of(min(band2))})
+
+
+class TestSideBySidePasses:
+    """From _CONCURRENT_NNZ stored entries laplacian_apply runs its row pass
+    on a worker thread; the result must keep the sequential bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        per_node=st.integers(0, 4),
+        graph_seed=st.integers(0, 2**32 - 1),
+        weighted=st.booleans(),
+    )
+    def test_side_by_side_matches_sequential_and_dense(self, n, per_node,
+                                                       graph_seed, weighted):
+        g = make_random_graph(n, per_node * n, seed=graph_seed, weighted=weighted)
+        x = np.random.default_rng(graph_seed).standard_normal(g.node_count)
+        a = g.adjacency.toarray()
+        a += a.T  # adjacency holds the upper triangle
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_CONCURRENT_NNZ", 0)
+            y = laplacian_apply(g, x)
+        assert np.array_equal(y, _sequential_apply(g, x))
+        np.testing.assert_allclose(y, (np.diag(g.degrees) - a) @ x, rtol=1e-12, atol=1e-12)
+
+    def test_above_the_constant_keeps_the_bits(self):
+        g = _wide_graph(30000, 6, rng_seed=4)
+        assert g.adjacency.nnz >= spectral._CONCURRENT_NNZ
+        x = np.random.default_rng(4).standard_normal(g.node_count)
+        assert np.array_equal(laplacian_apply(g, x), _sequential_apply(g, x))
+        assert any(t.name.startswith("laplacian-rows") for t in threading.enumerate())
+
+    def test_racing_first_calls_make_one_worker(self, wide_planted, monkeypatch):
+        # More callers than cores and a short switch interval race for the
+        # first matvec; each of 20 rounds must make the worker once.
+        g, _ = wide_planted
+        x = np.random.default_rng(3).standard_normal(g.node_count)
+        want = _sequential_apply(g, x)
+        made = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Recorded)
+        barrier = threading.Barrier(6)
+
+        def apply():
+            barrier.wait()
+            return laplacian_apply(g, x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        results = []
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for _ in range(20):
+                    monkeypatch.setattr(spectral, "_worker", None)
+                    futures = [pool.submit(apply) for _ in range(6)]
+                    results += [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            for worker in made:
+                worker.shutdown()
+        assert len(made) == 20
+        assert all(np.array_equal(y, want) for y in results)
+
+    def test_concurrent_callers_get_a_lone_callers_bits(self, wide_planted):
+        g, s = wide_planted
+        lone = solve_seeded(g, s, kappa=0.5)
+        del g._cache["eig"]  # both threads solve the eigenpair too
+        barrier = threading.Barrier(2)
+
+        def solve():
+            barrier.wait()
+            return solve_seeded(g, s, kappa=0.5)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(solve) for _ in range(2)]
+            results = [f.result(timeout=120) for f in futures]
+        for sol in results:
+            np.testing.assert_array_equal(sol.x, lone.x)
+            assert (sol.alpha, sol.lanczos_steps) == (lone.alpha, lone.lanczos_steps)
+
+    def test_forked_child_makes_its_own_worker(self, wide_planted):
+        g, _ = wide_planted
+        x = np.random.default_rng(7).standard_normal(g.node_count)
+        want = laplacian_apply(g, x)  # the parent's worker is running now
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_zero_if_same, args=(g, x, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            pytest.fail("the forked child's matvec did not finish")
+        assert child.exitcode == 0
+
+    def test_worker_does_not_outlive_the_interpreter(self):
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import numpy as np\n"
+            "from signedpolar import generate_scaled, laplacian_apply\n"
+            "g, _ = generate_scaled(12000, 24.0, rng_seed=1)\n"
+            "laplacian_apply(g, np.ones(g.node_count))\n"
+        )
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+
+
+def _exit_zero_if_same(g, x, want):
+    sys.exit(0 if np.array_equal(laplacian_apply(g, x), want) else 3)
 
 
 class TestSmallestEigenpair:

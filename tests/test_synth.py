@@ -158,6 +158,18 @@ class TestGenerateScaled:
         with pytest.raises(SynthError):
             generate_scaled(n, avg_degree)
 
+    @pytest.mark.parametrize("n, avg_degree", [(322, 20.0), (2000, 5.0)])
+    def test_no_filler_budget_names_the_degree_that_leaves_one(self, n, avg_degree):
+        # The planted edges alone use up the budget: without filler the
+        # largest component would be one planted pair.
+        with pytest.raises(SynthError, match="leaves no filler edge") as err:
+            generate_scaled(n, avg_degree)
+        least = float(str(err.value).rsplit(" ", 1)[1])
+        with pytest.raises(SynthError):
+            generate_scaled(n, least * (1 - 1e-4))
+        g, _ = generate_scaled(n, least * (1 + 1e-4))
+        assert g.edge_count > 0
+
     def test_smallest_instance(self):
         g, truth = generate_scaled(scaled_min_nodes(8, 20), 52.0)
         assert g.node_count == 322 and len(truth.pairs) == 8
