@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (IngestError, GraphError, SynthError, MetricError, FileNotFoundError) as exc:
+    except (IngestError, GraphError, SynthError, MetricError, OSError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
     except (SolverError, OracleError) as exc:

@@ -34,15 +34,14 @@ class SignedGraph:
     """Immutable sparse undirected signed graph with cached degrees.
 
     Nodes are dense indices ``0..n-1``; ``labels[i]`` maps an index back to
-    its external label. The constructor takes each undirected pair exactly
-    once with ``edge_u < edge_v``, the pairs in ``(u, v)`` order, and raises
-    :class:`GraphError` otherwise; :func:`build_graph` takes rows in any
-    order. ``adjacency`` is the strictly upper-triangular
-    CSR matrix ``U`` of the edges, so the adjacency matrix is ``U + U.T``:
-    row ``u`` holds the edges ``(u, v)`` in ``v`` order, with int32 indices
-    (int64 past their range). It is the one edge store; the edge triples
-    ``(u, v, w)``, in ``(u, v)`` order, are ``adjacency.tocoo()``'s
-    ``row``, ``col`` and ``data``.
+    its external label. ``adjacency``, the one edge store, is the strictly
+    upper-triangular ``n x n`` scipy CSR matrix ``U`` of the edges, so the
+    adjacency matrix is ``U + U.T``; the edge triples ``(u, v, w)``, in
+    ``(u, v)`` order, are ``adjacency.tocoo()``'s ``row``, ``col`` and
+    ``data``. The constructor keeps ``U``, cast to float64 if it is not,
+    and raises :class:`GraphError` unless it is such a matrix in canonical
+    form: sorted rows, no repeated entry. :func:`build_graph` makes ``U``
+    with int32 indices (int64 past their range).
 
     Instances are never mutated after construction and are safe to share
     across threads.
@@ -58,20 +57,23 @@ class SignedGraph:
         "_cache",
     )
 
-    def __init__(self, labels, edge_u, edge_v, edge_w):
+    def __init__(self, labels, adjacency):
         self.labels = tuple(labels)
         self.node_count = n = len(self.labels)
         self.label_index = dict(zip(self.labels, range(n)))
-        u = np.asarray(edge_u, dtype=np.int64)
-        v = np.asarray(edge_v, dtype=np.int64)
-        w = np.asarray(edge_w, dtype=np.float64)
-        if not _in_pair_order(u, v):
-            raise GraphError("edge pairs must be distinct with edge_u < edge_v, in (u, v) order")
-        idx = _index_dtype(max(n, len(w)))
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-        self.adjacency = sp.csr_matrix((w, v.astype(idx, copy=False), indptr), shape=(n, n))
-        self.degrees = _end_sums(u, v, w, n, np.abs)
+        if not (sp.issparse(adjacency) and adjacency.format == "csr" and adjacency.shape == (n, n)):
+            raise GraphError(f"adjacency must be a {n} x {n} scipy CSR matrix")
+        if not adjacency.has_canonical_format:
+            raise GraphError("adjacency rows must be sorted, with no repeated entry")
+        indptr, indices = adjacency.indptr, adjacency.indices
+        # sorted rows lie above the diagonal if their first entries do, and
+        # inside the matrix if their last entries do
+        rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+        if (indices[indptr[rows]] <= rows).any() or (indices[indptr[rows + 1] - 1] >= n).any():
+            raise GraphError("adjacency entries must lie above the diagonal, inside the matrix")
+        self.adjacency = adjacency.astype(np.float64, copy=False)
+        ends = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        self.degrees = _end_sums(ends, indices, self.adjacency.data, n, np.abs)
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
 
@@ -151,13 +153,6 @@ def _stable_sort(key: np.ndarray, col: np.ndarray) -> np.ndarray:
         out[a:b] = col[(packed[a:b] & low).view(np.int64)]
     packed >>= bits
     return out
-
-
-def _in_pair_order(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the pairs ``(u, v)`` strictly increase and each has ``u < v``."""
-    ahead = u[1:] > u[:-1]
-    ahead |= (u[1:] == u[:-1]) & (v[1:] > v[:-1])
-    return bool(ahead.all() and (u < v).all())
 
 
 def _end_sums(rows: np.ndarray, cols: np.ndarray, w: np.ndarray, size: int, part) -> np.ndarray:
@@ -245,7 +240,7 @@ class EdgeList:
 
     ``u`` and ``v`` are integer arrays.
     :func:`~signedpolar.io.read_edge_list` gives them as int32 when the
-    labels fit (int64 past that, like :class:`SignedGraph`'s indices); any
+    labels fit (int64 past that, like the indices of the graph's ``U``); any
     integer dtype builds the same graph, and building leaves the arrays
     unwritten. Labels must be distinct. The graph built from the list keeps
     the list's order of labels as its node order, without the labels that
@@ -282,11 +277,11 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     before ``v``), as :func:`~signedpolar.io.read_edge_list` numbers a
     file's labels. Duplicate undirected pairs are merged by summing their
     weights in row order; a pair whose merged weight is exactly zero is
-    dropped. The surviving pairs come out in ``(u, v)`` order, the order
-    :class:`SignedGraph` takes and :func:`~signedpolar.io.write_edge_list`
-    writes them in. Self-loops and zero or non-finite input weights are
-    rejected, reporting the first offending row. The build makes one sort
-    of the rows, by the pair key ``lo * n + hi``, in the merge.
+    dropped. Self-loops and zero or non-finite input weights are rejected,
+    reporting the first offending row. The build makes one sort of the
+    rows, by the pair key ``lo * n + hi``, in the merge; the sorted keys of
+    the surviving pairs give the graph's ``U`` in CSR order, the ``(u, v)``
+    order that :func:`~signedpolar.io.write_edge_list` writes them in.
     """
     if not isinstance(edges, EdgeList):
         edges = EdgeList.from_tuples(edges)
@@ -295,12 +290,15 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label, float]]) -> Signe
     w, keep = _merge_pairs(key, w)
     key = key[keep]
     w = w[keep]
-    # split each key back into its pair: lo in the key's own buffer
+    # U straight from the sorted keys: row lo's keys lie in [lo * n, lo * n + n)
     n = len(labels)
-    hi = np.empty_like(key)
+    idx = _index_dtype(max(n, len(key)))
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
+    indices = np.empty(len(key), dtype=idx)
     for a, b in _spans(len(key)):
-        np.divmod(key[a:b], n, out=(key[a:b], hi[a:b]))
-    return SignedGraph(labels, key, hi, w)
+        np.remainder(key[a:b], n, out=indices[a:b])
+    del key  # before the degree pass
+    return SignedGraph(labels, sp.csr_matrix((w, indices, indptr), shape=(n, n)))
 
 
 def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray]:
@@ -492,8 +490,9 @@ def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:
     """Restrict ``g`` to its largest connected component.
 
     Components are compared by volume; among equal volumes the component
-    holding the smallest node index wins. Returns the subgraph together with
-    the dropped node and edge counts; a connected graph is returned as-is.
+    holding the smallest node index wins. Returns the subgraph, whose ``U``
+    is ``g``'s sliced to the kept nodes, together with the dropped node and
+    edge counts; a connected graph is returned as-is.
     The returned graph remembers that it is connected, so
     :meth:`SignedGraph.is_connected` need not search it again.
     """
@@ -504,17 +503,8 @@ def largest_component(g: SignedGraph) -> tuple[SignedGraph, int, int]:
         return g, 0, 0
     vols = np.bincount(comp, g.degrees, minlength=ncomp)
     best = comp[np.argmax(vols[comp] == vols.max())]
-    keep_mask = comp == best
-    edges = g.adjacency.tocoo()
-    keep_edges = keep_mask[edges.row]
-    labels = [g.labels[i] for i in np.flatnonzero(keep_mask).tolist()]
-    remap = np.full(g.node_count, -1, dtype=np.int64)
-    remap[keep_mask] = np.arange(keep_mask.sum())
-    sub = SignedGraph(
-        labels,
-        remap[edges.row[keep_edges]],
-        remap[edges.col[keep_edges]],
-        edges.data[keep_edges],
-    )
+    keep = comp == best
+    labels = [g.labels[i] for i in np.flatnonzero(keep).tolist()]
+    sub = SignedGraph(labels, g.adjacency[keep][:, keep])
     sub._cache["connected"] = True
     return sub, int(g.node_count - sub.node_count), int(g.edge_count - sub.edge_count)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import (
     Community,
@@ -161,7 +162,8 @@ def naive_build_graph(edges: Iterable[tuple[Label, Label, float]]) -> SignedGrap
         ew.append(w)
     if not eu:
         raise GraphError("all edges cancelled during merging")
-    return SignedGraph(labels, eu, ev, ew)
+    n = len(labels)
+    return SignedGraph(labels, sp.coo_matrix((ew, (eu, ev)), shape=(n, n)).tocsr())
 
 
 def naive_degrees(g: SignedGraph) -> tuple[np.ndarray, np.ndarray]:

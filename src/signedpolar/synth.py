@@ -221,6 +221,8 @@ def generate_scaled(
         raise SynthError("n too small for the requested planted structure")
     if not 0 < avg_degree < np.inf:  # also rejects nan
         raise SynthError(f"avg_degree must be positive and finite, got {avg_degree}")
+    if not 0.0 <= eta <= 1.0:  # also rejects nan
+        raise SynthError(f"eta must lie in [0, 1], got {eta}")
     rng = np.random.default_rng(rng_seed)
     labels = _labels(n)
     m = band_size

@@ -37,6 +37,12 @@ class TestQueryCommand:
         code = main(["query", "--graph", str(tmp_path / "nope.edges"), "--s1", "a"])
         assert code == 2
 
+    def test_directory_as_graph_is_data_error(self, tmp_path, capsys):
+        code = main(["query", "--graph", str(tmp_path), "--s1", "a"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path) in err
+
     def test_unknown_label_is_data_error(self, t3_file):
         code = main(["query", "--graph", str(t3_file), "--s1", "zzz"])
         assert code == 2
@@ -150,6 +156,13 @@ class TestExperimentCommand:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_directory_as_output_is_data_error(self, tmp_path, capsys):
+        code = main(["experiment", "--eta", "0.0", "--pairs", "1", "--band-size", "3",
+                     "--graphs", "1", "--queries", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path) in err
 
     def test_timings_flag_appends_the_timing_columns(self, tmp_path):
         args = ["experiment", "--eta", "0.0", "--pairs", "2", "--band-size", "4",

@@ -9,6 +9,7 @@ from signedpolar import (
     GraphError,
     IngestError,
     SignedGraph,
+    build_graph,
     community,
     ingest,
     query,
@@ -86,9 +87,9 @@ class TestIngest:
         # quarter-integer weights print exactly in write_edge_list's format
         rng = np.random.default_rng(seed)
         base = random_signed_graph(60, 200, rng_seed=seed)
-        e = base.adjacency.tocoo()
-        w = e.data * rng.integers(1, 40, e.nnz) / 4
-        g = SignedGraph(base.labels, e.row, e.col, w)
+        adj = base.adjacency.copy()
+        adj.data = adj.data * rng.integers(1, 40, adj.nnz) / 4
+        g = SignedGraph(base.labels, adj)
         path = tmp_path / "rt.edges"
         write_edge_list(path, g)
         rows = read_edge_list(path)
@@ -112,18 +113,18 @@ class TestIngest:
     def test_roundtrip_keeps_every_float_weight(self, tmp_path):
         rng = np.random.default_rng(4)
         base = random_signed_graph(60, 200, rng_seed=4)
-        e = base.adjacency.tocoo()
-        w = e.data * rng.uniform(0.5, 2.0, e.nnz)
-        w *= 10.0 ** rng.integers(-12, 12, e.nnz)
+        adj = base.adjacency.copy()
+        w = adj.data = adj.data * rng.uniform(0.5, 2.0, adj.nnz)
+        w *= 10.0 ** rng.integers(-12, 12, adj.nnz)
         w[0] = 0.1 + 0.2  # 0.30000000000000004, which 12 digits print as 0.3
-        g = SignedGraph(base.labels, e.row, e.col, w)
+        g = SignedGraph(base.labels, adj)
         path = tmp_path / "rt.edges"
         write_edge_list(path, g)
         assert read_edge_list(path).w.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("bad", ["New York", "a#b", "x\xa0y", "", " a"])
     def test_unwritable_label_raises_before_the_file_is_made(self, tmp_path, bad):
-        g = SignedGraph(["a", bad, "c"], [0, 0], [1, 2], [1.0, -1.0])
+        g = build_graph([("a", bad, 1.0), ("a", "c", -1.0)])
         path = tmp_path / "rt.edges"
         with pytest.raises(GraphError, match="one token"):
             write_edge_list(path, g)

@@ -28,7 +28,7 @@ from signedpolar import (
     solve_shifted,
 )
 from signedpolar import spectral
-from signedpolar.graph import EdgeList, SeedVector, SignedGraph
+from signedpolar.graph import EdgeList, SeedVector
 from signedpolar.oracle import (
     bisect_shift,
     correlation_at,
@@ -259,7 +259,7 @@ class TestSmallestEigenpair:
         # n / (n - 1) only, so Lanczos breaks down at its second step.
         n = spectral.DENSE_EIG_LIMIT + 8
         u, v = np.triu_indices(n, 1)
-        g = SignedGraph(range(n), u, v, np.ones(len(u)))
+        g = build_graph(EdgeList(list(range(n)), u, v, np.ones(len(u))))
         calls = counted_matvecs(monkeypatch)
         eig = smallest_eigenpair(g)
         assert abs(eig.lambda1) <= 1e-12 and eig.residual <= spectral.EIG_TOL

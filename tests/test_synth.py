@@ -158,6 +158,11 @@ class TestGenerateScaled:
         with pytest.raises(SynthError):
             generate_scaled(n, avg_degree)
 
+    @pytest.mark.parametrize("eta", [-0.5, 1.5, float("nan")])
+    def test_eta_outside_the_unit_interval_raises(self, eta):
+        with pytest.raises(SynthError, match=r"eta must lie in \[0, 1\]"):
+            generate_scaled(2000, 20.0, eta=eta)
+
     @pytest.mark.parametrize("n, avg_degree", [(322, 20.0), (2000, 5.0)])
     def test_no_filler_budget_names_the_degree_that_leaves_one(self, n, avg_degree):
         # The planted edges alone use up the budget: without filler the
