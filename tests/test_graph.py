@@ -70,6 +70,20 @@ class TestBuildGraph:
 
 
 class TestConstructor:
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0, 1, 0], [1, 2, 1]), ([0, 1], [1, 0]), ([0, 2], [1, 1]), ([1], [1]), ([0, 2], [1, 0]),
+         ([0, 0], [2, 1])],  # the last: distinct pairs, each u < v, not in (u, v) order
+    )
+    def test_pairs_must_be_distinct_and_ordered(self, u, v):
+        # the pairs (u, v), stored row by row in the order given, as U's raw CSR arrays
+        u, v = np.array(u), np.array(v)
+        indices = v[np.argsort(u, kind="stable")].astype(np.int32)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=3))]).astype(np.int32)
+        bad = sp.csr_matrix((np.ones(len(u)), indices, indptr), shape=(3, 3))
+        with pytest.raises(GraphError, match="sorted, with no repeated entry|above the diagonal"):
+            SignedGraph(["a", "b", "c"], bad)
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_adjacency_matches_the_coo_route(self, weighted):
         n = 200
