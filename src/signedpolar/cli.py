@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -175,26 +176,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out_path) -> None:
+def _output(out_path):
+    """``--out`` opened for writing, or standard output without it. A
+    command opens it before its work, so that a path it cannot write fails
+    at once, not after the work; as with a shell's ``>``, a run that fails
+    later leaves the file empty."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(out_path, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_query(args) -> int:
     kappa = args.kappa if args.k is None else float(np.sqrt(1.0 / args.k))
-    g = ingest(args.graph, directed=args.directed)
-    doc = query(
-        g,
-        args.s1,
-        args.s2,
-        kappa=kappa,
-        eps=args.eps,
-        emit_vector=args.emit_vector,
-    )
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    with _output(args.out) as out:
+        g = ingest(args.graph, directed=args.directed)
+        doc = query(
+            g,
+            args.s1,
+            args.s2,
+            kappa=kappa,
+            eps=args.eps,
+            emit_vector=args.emit_vector,
+        )
+        out.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -230,8 +234,8 @@ def _cmd_experiment(args) -> int:
         rng_seed=args.seed,
         include_timings=args.timings,
     )
-    rows = run_experiment(config)
-    _emit(experiment_csv(rows), args.out)
+    with _output(args.out) as out:
+        out.write(experiment_csv(run_experiment(config)))
     return EXIT_OK
 
 

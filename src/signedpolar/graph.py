@@ -7,6 +7,9 @@ supported throughout; an unweighted graph is the all-weights-one special case.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Sequence
@@ -94,6 +97,33 @@ class SignedGraph:
             else:
                 self._cache["connected"] = _components(self)[0] == 1
         return self._cache["connected"]
+
+
+# The one worker thread of the process, made on first use. The caller runs
+# one half of a job while the worker runs the other: spectral.laplacian_apply's
+# row pass, and every other block of io.read_edge_list's parse.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _shared_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="signedpolar-worker")
+        return _worker
+
+
+def _forget_worker() -> None:
+    # A forked child inherits the executor but not its thread, so a task
+    # submitted to it would never run; the lock may have been held.
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, no stale worker
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _index_dtype(size: int) -> type:

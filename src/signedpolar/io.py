@@ -2,8 +2,15 @@
 
 A graph file is UTF-8 text. It is read in blocks of whole lines, about
 256 KiB each, and each block is split into columns with numpy, without a
-per-line Python loop; labels are numbered once the last block is read. The
-grammar does not depend on where blocks end:
+per-line Python loop; labels are numbered once the last block is read.
+Blocks are parsed two at a time, the first of each pair on the process's
+one worker thread (the one that also runs half of each large matvec) and
+the second on the calling thread; numpy releases the interpreter lock for
+most of the work, so the two overlap. The caller then takes the pair's rows,
+long labels and line counts in file order, so the result, and any error
+raised, are those of a parse one block after the other. A file of one block
+is parsed on the caller alone. The grammar does not depend on where blocks
+end:
 
 * Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; the last line may lack
   an ending. Error messages number lines from 1.
@@ -41,6 +48,7 @@ from .graph import (
     SignedGraph,
     _index_dtype,
     _or_positions,
+    _shared_worker,
     _spans,
     build_graph,
     largest_component,
@@ -49,10 +57,8 @@ from .synth import GroundTruth
 
 logger = logging.getLogger(__name__)
 
-# Whitespace as str.split() sees it: a byte table for ASCII, and the other
-# str.isspace() characters as UTF-8.
-_ASCII_SPACE = np.zeros(256, dtype=bool)
-_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+# Whitespace as str.split() sees it: the ASCII bytes 9-13 and 28-32 (see
+# _ascii_space_mask), and the other str.isspace() characters as UTF-8.
 _UNICODE_SPACES = tuple(
     c.encode() for c in "\x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"
 ) + tuple(chr(c).encode() for c in range(0x2000, 0x200B))
@@ -62,8 +68,9 @@ _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(8)], dtype=np.uint64)
 # the top byte; a longer one is its serial number in a dict plus this.
 _LONG_TOKEN = 0xFF << 56
 # The file is read this many bytes at a time; a block ends after its last
-# line break, so only a block's worth of offsets and masks exists at once,
-# near a megabyte: the next block's reuse the memory they free.
+# line break. Two blocks are parsed at once, one on each thread, so only two
+# blocks' worth of offsets and masks exists at once, a megabyte or two: the
+# next blocks' reuse the memory they free.
 _BLOCK_BYTES = 1 << 18
 # Odd multiplier for multiplicative (Fibonacci) hashing of uint64 keys.
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -78,21 +85,22 @@ def read_edge_list(path) -> EdgeList:
 
     Labels are numbered in order of first appearance, ``u`` before ``v``;
     the ids are int32 when the labels fit, int64 past that. The file is
-    parsed a block of lines at a time; each block writes a key per label
-    and a weight per row into columns sized once, from a count of the
-    file's line breaks, and :func:`_number_ends` numbers the keys at the
-    end.
+    parsed a block of lines at a time, two blocks at once: the shared
+    worker thread parses one while this thread parses the next (see
+    :func:`_parsed_blocks`). Block by block, in file order, each block
+    writes a key per label and a weight per row into columns sized once,
+    from a count of the file's line breaks, and :func:`_number_ends`
+    numbers the keys at the end.
     """
     long_labels: dict[bytes, int] = {}
-    lines = rows = 0
+    rows = 0
     with open(path, "rb") as fh:
         # Kept as per-block pieces and joined at the end, the columns held
         # the heap's freed memory resident between them, 30-60 MB that
         # varied from run to run on the local-100k file.
         cap = _line_bound(fh)
         ukey, vkey, w = np.empty(cap, np.uint64), np.empty(cap, np.uint64), np.empty(cap)
-        for raw in _blocks(fh):
-            k, wb, lines = _read_block(path, raw, lines, long_labels)
+        for k, wb in _parsed_blocks(path, _blocks(fh), long_labels):
             end = rows + len(wb)
             if end > cap:  # a file that cannot be rewound, or that grew
                 cap = max(end, 2 * cap)
@@ -101,6 +109,7 @@ def read_edge_list(path) -> EdgeList:
             vkey[rows:end] = k[1::2]
             w[rows:end] = wb
             rows = end
+            del k, wb  # freed before the next block is parsed
     if not rows:
         raise IngestError(f"{path}: no edges found")
     u, v, distinct = _number_ends(ukey[:rows], vkey[:rows])
@@ -112,6 +121,70 @@ def read_edge_list(path) -> EdgeList:
         for k in distinct.tolist()
     ]
     return EdgeList(labels, u, v, w[:rows])
+
+
+def _parsed_blocks(path, blocks, long_labels: dict[bytes, int]):
+    """Each block's label keys and weights (see :func:`_read_block`), in
+    file order, with the long labels numbered in ``long_labels`` in file
+    order.
+
+    The blocks are parsed in pairs: the shared worker thread parses the
+    first while this thread parses the second, so at most two are in
+    flight; a last block without a partner, the whole file if it is one
+    block, is parsed here. Neither half of a pair knows the line it starts
+    on, or the long labels before it: each numbers its lines from 1 and its
+    long labels in a dict of its own, and they are renumbered here, in file
+    order. A block that raises is parsed again here, at its turn, with its
+    real first line, so the error reported is the first in the file and
+    names its file line.
+    """
+    lines = 0
+    blocks = iter(blocks)
+    for raw in blocks:
+        after = next(blocks, None)
+        if after is None:
+            keys, w, lines = _read_block(path, raw, lines, long_labels)
+            yield keys, w
+            return
+        ahead = _shared_worker().submit(_read_apart, path, raw)
+        here = _read_apart(path, after)
+        for block, parsed in ((raw, ahead.result()), (after, here)):
+            if parsed is None:  # raises, now naming the file line
+                keys, w, lines = _read_block(path, block, lines, long_labels)
+            else:
+                keys, w, count, local = parsed
+                _renumber_long(keys, local, long_labels)
+                lines += count
+            yield keys, w
+        # hold no block of this pair, nor its results, while the next pair
+        # is parsed
+        del raw, after, ahead, here, block, parsed, keys, w
+
+
+def _read_apart(path, raw: bytes):
+    """:func:`_read_block` on ``raw`` alone, as if it began the file: its
+    keys, weights, line count and long-label dict, or None if it raises
+    :class:`IngestError`."""
+    local: dict[bytes, int] = {}
+    try:
+        keys, w, count = _read_block(path, raw, 0, local)
+    except IngestError:
+        return None
+    return keys, w, count, local
+
+
+def _renumber_long(keys: np.ndarray, local: dict[bytes, int], long_labels: dict[bytes, int]):
+    """Renumber in place the long-label keys of a block numbered in
+    ``local`` to their numbers in ``long_labels``, which numbers the
+    block's new labels in their order in ``local``."""
+    if local:
+        number = np.fromiter(
+            (long_labels.setdefault(t, len(long_labels)) for t in local),
+            dtype=np.uint64,
+            count=len(local),
+        )
+        long = np.flatnonzero(keys >= np.uint64(_LONG_TOKEN))
+        keys[long] = np.uint64(_LONG_TOKEN) | number[keys[long] - np.uint64(_LONG_TOKEN)]
 
 
 def _number_ends(ukey: np.ndarray, vkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,9 +236,10 @@ def _blocks(fh):
         block = rest + chunk
         # a \r at the very end may be the first half of \r\n
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-        rest = block[cut:]
+        block, rest = block[:cut], block[cut:]
+        del chunk  # while a block is parsed, hold no other copy of it
         if cut:
-            yield block[:cut]
+            yield block
     if rest:
         yield rest
 
@@ -197,11 +271,19 @@ def _read_block(
         # is the first error in the file.
         bounds = bounds[: 2 * per_line[: bad_lines[0]].sum()]
     rows = bounds.reshape(-1, 6)  # start and end of u, of v and of w
-
     words = _byte_words(data)
-    w, bad_row = _parse_weights(data, words, rows[:, 4], rows[:, 5] - rows[:, 4])
+    # The label and weight columns are copied out of rows, and each is
+    # freed once used, so that the token work, which sets the parse's peak
+    # memory, reuses theirs; two blocks are parsed at once.
+    starts = rows[:, [0, 2]].ravel()  # u0, v0, u1, v1, ...
+    lengths = rows[:, [1, 3]].ravel() - starts
+    wstarts, wlengths = rows[:, 4].copy(), rows[:, 5] - rows[:, 4]
+    del bounds, rows
+    keys = _token_keys(data, words, starts, lengths, long_labels)
+    del starts, lengths
+    w, bad_row = _parse_weights(data, words, wstarts, wlengths)
     if bad_row >= 0:
-        token = raw[rows[bad_row, 4] : rows[bad_row, 5]].decode()
+        token = raw[wstarts[bad_row] : wstarts[bad_row] + wlengths[bad_row]].decode()
         line = np.searchsorted(np.cumsum(per_line), 3 * bad_row, side="right")
         raise IngestError(f"{path}:{line0 + line + 1}: weight {token!r} is not a number")
     if bad_lines.size:
@@ -210,18 +292,14 @@ def _read_block(
         hi = breaks[line] if line < len(breaks) else len(raw)
         text = raw[lo:hi].decode().strip()
         raise IngestError(f"{path}:{line0 + line + 1}: expected 'u v w', got {text!r}")
-
-    starts = rows[:, [0, 2]].ravel()  # u0, v0, u1, v1, ...
-    keys = _token_keys(data, words, starts, rows[:, [1, 3]].ravel() - starts, long_labels)
     return keys, w, line0 + len(breaks)
 
 
 def _split(buf: np.ndarray, has_comments: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Token offsets as ``start, end, start, end, ...``, the number of
     tokens on each line, and the offsets of the line breaks."""
-    is_break = _line_break_mask(buf)
-    breaks = np.flatnonzero(is_break)
-    sep = _ASCII_SPACE[buf]
+    breaks = np.flatnonzero(_line_break_mask(buf))
+    sep = _ascii_space_mask(buf)
     if has_comments:
         sep |= _comment_mask(buf, breaks)
     bounds = np.flatnonzero(np.diff(sep, prepend=True, append=True))
@@ -229,6 +307,18 @@ def _split(buf: np.ndarray, has_comments: bool) -> tuple[np.ndarray, np.ndarray,
     per_line = np.diff(np.searchsorted(bounds[0::2], breaks), prepend=0,
                        append=len(bounds) // 2)
     return bounds, per_line, breaks
+
+
+def _ascii_space_mask(buf: np.ndarray) -> np.ndarray:
+    """True at the ASCII whitespace bytes: 9-13, 28-31 and 32. Three
+    comparisons, through one uint8 array that wraps below 0, take a tenth
+    of the time of a lookup in a 256-entry table."""
+    sep = buf == 32
+    shifted = buf - np.uint8(9)
+    sep |= shifted <= 4
+    shifted -= np.uint8(28 - 9)
+    sep |= shifted <= 3
+    return sep
 
 
 def _line_number(raw: bytes, pos: int) -> int:
@@ -265,10 +355,13 @@ def _parse_weights(
     """Read each token as Python's ``float()`` reads it. Returns the values
     and the index of the first token it rejects (-1 if none).
 
-    Weight columns repeat few distinct tokens (often just ``1`` and ``-1``),
-    so each distinct token is converted once.
+    Weight columns repeat few distinct short tokens (often just ``1`` and
+    ``-1``), so each distinct one is converted once. Tokens of 8 bytes or
+    more, most often floats written out in full, seldom repeat, and each is
+    converted by itself: numbered in a dict, they held about 120 bytes a
+    row, more than all else a block's parse holds at once.
     """
-    ids, first, _ = _intern(_token_keys(data, words, starts, lengths, {}))
+    ids, first, _ = _intern(_token_keys(data, words, starts, lengths, None))
     values = np.empty(len(first))
     for k, (a, n) in enumerate(zip(starts[first].tolist(), lengths[first].tolist())):
         try:
@@ -290,16 +383,19 @@ def _token_keys(
     words: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
-    long_tokens: dict[bytes, int],
+    long_tokens: dict[bytes, int] | None,
 ) -> np.ndarray:
     """One uint64 per token, equal exactly for equal tokens: the bytes and
     length of a token shorter than 8 bytes, else ``_LONG_TOKEN`` plus the
     token's number in ``long_tokens``, which numbers new tokens as it meets
-    them."""
+    them. Without ``long_tokens``, a long token's number is its index, so
+    each long token has a key of its own."""
     key = words[starts] & _LOW_BYTES[np.minimum(lengths, 7)]
     key |= lengths.astype(np.uint64) << np.uint64(56)
     long = np.flatnonzero(lengths >= 8)
-    if long.size:
+    if long.size and long_tokens is None:
+        key[long] = np.uint64(_LONG_TOKEN) | long.astype(np.uint64)
+    elif long.size:
         tokens = (data[a : a + n] for a, n in zip(starts[long].tolist(), lengths[long].tolist()))
         key[long] = np.uint64(_LONG_TOKEN) | np.fromiter(
             (long_tokens.setdefault(t, len(long_tokens)) for t in tokens),

@@ -39,15 +39,12 @@ bits as one after the other.
 from __future__ import annotations
 
 import operator
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .graph import SignedGraph, SeedVector, GraphError
+from .graph import SignedGraph, SeedVector, GraphError, _shared_worker
 
 # Graphs up to this size take the dense eigensolver path and keep the full
 # eigendecomposition; above it the matrix-free Lanczos recurrence is used.
@@ -128,40 +125,15 @@ class SpectralSolution:
     warnings: tuple[str, ...] = field(default=())
 
 
-# laplacian_apply's row-pass thread, made on first use
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _rows_worker() -> ThreadPoolExecutor:
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="laplacian-rows")
-        return _worker
-
-
-def _forget_worker() -> None:
-    # A forked child inherits the executor but not its thread, so a task
-    # submitted to it would never run; the lock may have been held.
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # no fork, no stale worker
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
 def laplacian_apply(g: SignedGraph, x: np.ndarray) -> np.ndarray:
     """Apply L = D - A with A = U + U', U the upper-triangle adjacency: one
     pass over U by rows and one by columns, through its zero-copy CSC
     transpose, kept on the graph because making it costs more than a small
     graph's matvec; no other matrix is ever materialized. From
     _CONCURRENT_NNZ stored entries the two read-only passes run side by
-    side, the row pass on a worker thread (scipy's kernels release the
-    GIL); the same sums are added in the same order, so the result has the
-    same bits either way."""
+    side, the row pass on the process's one worker thread (scipy's kernels
+    release the GIL); the same sums are added in the same order, so the
+    result has the same bits either way."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.node_count,):
         raise GraphError(f"vector length {x.shape} does not match n={g.node_count}")
@@ -169,7 +141,9 @@ def laplacian_apply(g: SignedGraph, x: np.ndarray) -> np.ndarray:
         g._cache["adjacency.T"] = g.adjacency.T
     if g.adjacency.nnz < _CONCURRENT_NNZ:
         return g.degrees * x - (g.adjacency @ x + g._cache["adjacency.T"] @ x)
-    rows = _rows_worker().submit(operator.matmul, g.adjacency, x)
+    # the worker lives in graph, which makes it once and resets it in a
+    # forked child; io.read_edge_list parses blocks on it too
+    rows = _shared_worker().submit(operator.matmul, g.adjacency, x)
     cols = g._cache["adjacency.T"] @ x
     return g.degrees * x - (rows.result() + cols)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from signedpolar import cli
 from signedpolar.cli import main
 from signedpolar.harness import EXPERIMENT_COLUMNS, TIMING_COLUMNS
 
@@ -40,6 +41,17 @@ class TestQueryCommand:
     def test_directory_as_graph_is_data_error(self, tmp_path, capsys):
         code = main(["query", "--graph", str(tmp_path), "--s1", "a"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path) in err
+
+    def test_directory_as_output_fails_before_the_ingest(self, t3_file, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "ingest", lambda *a, **k: calls.append(a))
+        code = main(["query", "--graph", str(t3_file), "--s1", "a", "--s2", "c",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(tmp_path) in err
 
@@ -161,6 +173,17 @@ class TestExperimentCommand:
         code = main(["experiment", "--eta", "0.0", "--pairs", "1", "--band-size", "3",
                      "--graphs", "1", "--queries", "1", "--out", str(tmp_path)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path) in err
+
+    def test_directory_as_output_fails_before_the_experiment(self, tmp_path,
+                                                              monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: calls.append(config))
+        code = main(["experiment", "--graphs", "1", "--queries", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(tmp_path) in err
 

@@ -1,9 +1,15 @@
 """The columnar reader and builder against the per-line references in
 ``oracle``: same labels, edges, degrees and errors, bit for bit."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from io import BytesIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +238,11 @@ class TestReferenceEquivalence:
     def test_unicode_space_table_matches_str_isspace(self):
         expected = {chr(c).encode() for c in range(0x80, 0x110000) if chr(c).isspace()}
         assert set(io_mod._UNICODE_SPACES) == expected
+
+    def test_ascii_space_mask_matches_str_isspace(self):
+        every_byte = np.arange(256, dtype=np.uint8)
+        expected = [c < 128 and chr(c).isspace() for c in range(256)]
+        assert io_mod._ascii_space_mask(every_byte).tolist() == expected
 
     def test_edge_list_length_is_row_count(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -486,3 +497,161 @@ class TestLeanBuild:
         adj = g.adjacency
         arrays = (adj.data, adj.indices, adj.indptr, g.degrees)
         assert peak <= 2.75 * (sum(a.nbytes for a in arrays) + 8 * g.edge_count)
+
+
+def _record_parses(monkeypatch):
+    """Wrap io._read_block to record, call by call, the thread that ran it
+    and the block it parsed."""
+    seen = []
+    real = io_mod._read_block
+
+    def recorded(path, raw, *args):
+        seen.append((threading.current_thread(), raw))
+        return real(path, raw, *args)
+
+    monkeypatch.setattr(io_mod, "_read_block", recorded)
+    return seen
+
+
+def _parsed_on(seen, row: bytes) -> str:
+    """Which thread first parsed the block holding ``row``."""
+    thread = next(t for t, raw in seen if row in raw)
+    if thread is threading.current_thread():
+        return "caller"
+    assert thread.name.startswith("signedpolar-worker"), thread.name
+    return "worker"
+
+
+def _row(i: int, weight: str = "1") -> bytes:
+    return f"n{i:05d} m{i:05d} {weight}\n".encode()  # 16 bytes
+
+
+# Rows of one width and blocks of ten of them: blocks 0, 2 and 4 (lines
+# 1-10, 21-30, 41-50) go to the worker, 1, 3 and 5 to the caller.
+_ROWS_PER_BLOCK = 10
+_BAD_ROWS = {
+    "weight": (lambda i: _row(i, "x"), "weight 'x' is not a number"),
+    "count": (lambda i: f"n{i:05d} m{i:05d}  \n".encode(), "expected 'u v w', got"),
+    "utf8": (lambda i: b"n%05d \xff%05d 1\n" % (i, i), "byte 0xff is not valid UTF-8"),
+}
+
+
+def _six_blocks(tmp_path, monkeypatch, bad: dict[int, bytes], width: int = 16):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"".join(bad.get(i, _row(i)) for i in range(1, 61)))
+    monkeypatch.setattr(io_mod, "_BLOCK_BYTES", width * _ROWS_PER_BLOCK)
+    with open(path, "rb") as fh:
+        assert [len(b) for b in io_mod._blocks(fh)] == [width * _ROWS_PER_BLOCK] * 6
+    return path
+
+
+def _exit_zero_if_same_ingest(path, want):
+    got = ingest(path)
+    same = got.labels == want.labels and np.array_equal(got.degrees, want.degrees) and all(
+        np.array_equal(getattr(got.adjacency, name), getattr(want.adjacency, name))
+        for name in ("indptr", "indices", "data"))
+    sys.exit(0 if same else 3)
+
+
+class TestTwoThreadParse:
+    """read_edge_list parses blocks in pairs, the first of each on the
+    shared worker thread and the second on the caller, and keeps file
+    order for the columns, the long labels and the first error."""
+
+    def test_work_is_split_between_the_caller_and_the_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 16)
+        path = _generated_file(tmp_path)
+        seen = _record_parses(monkeypatch)
+        assert_matches_reference(path)
+        caller = sum(t is threading.current_thread() for t, _ in seen)
+        worker = sum(t.name.startswith("signedpolar-worker") for t, _ in seen)
+        assert len(seen) >= 4 and caller + worker == len(seen)
+        assert worker == len(seen) // 2 and caller == len(seen) - worker
+
+    def test_one_block_file_stays_on_the_caller(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.edges"
+        path.write_text("a b 1\nb c -1\n")
+        seen = _record_parses(monkeypatch)
+        assert read_edge_list(path).labels == ["a", "b", "c"]
+        assert [t for t, _ in seen] == [threading.current_thread()]
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+    @pytest.mark.parametrize("first, second, side", [(25, 35, "worker"), (15, 25, "caller")])
+    def test_first_error_wins_on_either_thread(self, tmp_path, monkeypatch, kind,
+                                               first, second, side):
+        make_first, message = _BAD_ROWS[kind]
+        make_second = _BAD_ROWS["count" if kind == "weight" else "weight"][0]
+        path = _six_blocks(tmp_path, monkeypatch, {first: make_first(first),
+                                                   second: make_second(second)})
+        seen = _record_parses(monkeypatch)
+        with pytest.raises(IngestError) as err:
+            read_edge_list(path)
+        assert str(err.value).startswith(f"{path}:{first}: {message}")
+        assert _parsed_on(seen, make_first(first)) == side
+        # a worker's error wins over the caller's, found side by side; a
+        # caller's error stops the read before the next pair
+        second_parses = [t for t, raw in seen if make_second(second) in raw]
+        assert second_parses == ([threading.current_thread()] if side == "worker" else [])
+        if kind != "utf8":  # the reference reader raises UnicodeDecodeError
+            assert _outcome(_fast, path) == _outcome(_reference, path)
+
+    def test_long_labels_across_the_handoff(self, tmp_path, monkeypatch):
+        # 32-byte rows of 14-byte labels; the shared labels appear first in
+        # a worker block and again in a later caller block (a), the other
+        # way round (b), and in both blocks of a pair and a later one (c)
+        shared = {5: ("a", 0), 35: ("a", 1), 15: ("b", 1), 25: ("b", 0),
+                  22: ("c", 0), 28: ("c", 1), 33: ("c", 0)}
+        rows = []
+        for i in range(1, 61):
+            ends = [f"node-{2 * i:09d}", f"node-{2 * i + 1:09d}"]
+            if i in shared:
+                name, side = shared[i]
+                ends[side] = f"shared-label-{name}"
+            rows.append(f"{ends[0]} {ends[1]} 1\n".encode())
+        path = _six_blocks(tmp_path, monkeypatch, dict(enumerate(rows, 1)), width=32)
+        seen = _record_parses(monkeypatch)
+        assert_matches_reference(path)
+        sides = [_parsed_on(seen, rows[i - 1]) for i in (5, 35, 15, 25, 22, 28, 33)]
+        assert sides == ["worker", "caller", "caller", "worker", "worker", "worker", "caller"]
+        order = list(dict.fromkeys(t for r in rows for t in r.decode().split()[:2]))
+        assert read_edge_list(path).labels == order
+
+    def test_forked_child_ingests_like_its_parent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 16)
+        path = _generated_file(tmp_path)
+        want = ingest(path)  # the parent's worker is running now
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_zero_if_same_ingest, args=(path, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            pytest.fail("the forked child's ingest did not finish")
+        assert child.exitcode == 0
+
+    def test_one_worker_thread_serves_ingest_and_matvecs(self, tmp_path):
+        path = _generated_file(tmp_path)
+        src = str(Path(io_mod.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from signedpolar import generate_scaled, io, laplacian_apply, spectral\n"
+            "io._BLOCK_BYTES = 1 << 16\n"
+            "parsers, parse = set(), io._read_block\n"
+            "def recorded(*args):\n"
+            "    parsers.add(threading.current_thread())\n"
+            "    return parse(*args)\n"
+            "io._read_block = recorded\n"
+            "io.ingest(sys.argv[1])\n"
+            "g, _ = generate_scaled(12000, 24.0, rng_seed=1)\n"
+            "assert g.adjacency.nnz >= spectral._CONCURRENT_NNZ\n"
+            "laplacian_apply(g, np.ones(g.node_count))\n"
+            "live = {t for t in threading.enumerate() if t.name.startswith('signedpolar-worker')}\n"
+            "print(len(live), live == parsers - {threading.current_thread()})\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        # one live worker, and it is the thread that parsed the worker's blocks
+        assert done.stdout.split() == ["1", "True"]

@@ -27,6 +27,7 @@ from signedpolar import (
     solve_seeded,
     solve_shifted,
 )
+from signedpolar import graph as graph_mod
 from signedpolar import spectral
 from signedpolar.graph import EdgeList, SeedVector
 from signedpolar.oracle import (
@@ -126,7 +127,7 @@ class TestSideBySidePasses:
         assert g.adjacency.nnz >= spectral._CONCURRENT_NNZ
         x = np.random.default_rng(4).standard_normal(g.node_count)
         assert np.array_equal(laplacian_apply(g, x), _sequential_apply(g, x))
-        assert any(t.name.startswith("laplacian-rows") for t in threading.enumerate())
+        assert any(t.name.startswith("signedpolar-worker") for t in threading.enumerate())
 
     def test_racing_first_calls_make_one_worker(self, wide_planted, monkeypatch):
         # More callers than cores and a short switch interval race for the
@@ -141,7 +142,7 @@ class TestSideBySidePasses:
                 made.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(graph_mod, "ThreadPoolExecutor", Recorded)
         barrier = threading.Barrier(6)
 
         def apply():
@@ -154,7 +155,7 @@ class TestSideBySidePasses:
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
                 for _ in range(20):
-                    monkeypatch.setattr(spectral, "_worker", None)
+                    monkeypatch.setattr(graph_mod, "_worker", None)
                     futures = [pool.submit(apply) for _ in range(6)]
                     results += [f.result(timeout=60) for f in futures]
         finally:
