@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -176,19 +177,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextlib.contextmanager
 def _output(out_path):
-    """``--out`` opened for writing, or standard output without it. A
-    command opens it before its work, so that a path it cannot write fails
-    at once, not after the work; as with a shell's ``>``, a run that fails
-    later leaves the file empty."""
-    if out_path:
-        return open(out_path, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+    """A function that writes a command's result to ``--out``, or to
+    standard output without it. A command enters this before its work, so
+    that a path it cannot write fails at once, not after the work. The file
+    is opened to append and emptied only when the result is written: a run
+    that fails leaves a file that was there as it was, and removes one that
+    it made."""
+    if not out_path:
+        yield sys.stdout.write
+        return
+    made = not os.path.exists(out_path)
+    with open(out_path, "a", encoding="utf-8") as fh:
+
+        def write(text: str) -> None:
+            fh.truncate(0)
+            fh.write(text)
+
+        try:
+            yield write
+        except BaseException:
+            if made:
+                os.remove(out_path)
+            raise
 
 
 def _cmd_query(args) -> int:
     kappa = args.kappa if args.k is None else float(np.sqrt(1.0 / args.k))
-    with _output(args.out) as out:
+    with _output(args.out) as write:
         g = ingest(args.graph, directed=args.directed)
         doc = query(
             g,
@@ -198,7 +215,7 @@ def _cmd_query(args) -> int:
             eps=args.eps,
             emit_vector=args.emit_vector,
         )
-        out.write(json.dumps(doc, indent=2) + "\n")
+        write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -234,8 +251,8 @@ def _cmd_experiment(args) -> int:
         rng_seed=args.seed,
         include_timings=args.timings,
     )
-    with _output(args.out) as out:
-        out.write(experiment_csv(run_experiment(config)))
+    with _output(args.out) as write:
+        write(experiment_csv(run_experiment(config)))
     return EXIT_OK
 
 

@@ -6,11 +6,11 @@ per-line Python loop; labels are numbered once the last block is read.
 Blocks are parsed two at a time, the first of each pair on the process's
 one worker thread (the one that also runs half of each large matvec) and
 the second on the calling thread; numpy releases the interpreter lock for
-most of the work, so the two overlap. The caller then takes the pair's rows,
-long labels and line counts in file order, so the result, and any error
-raised, are those of a parse one block after the other. A file of one block
-is parsed on the caller alone. The grammar does not depend on where blocks
-end:
+most of the work, so the two overlap. The caller then numbers the pair's
+long labels, and takes its rows and line counts, in file order, so the
+result, and any error raised, are those of a parse one block after the
+other. A file of one block is parsed on the caller alone. The grammar does
+not depend on where blocks end:
 
 * Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; the last line may lack
   an ending. Error messages number lines from 1.
@@ -65,7 +65,8 @@ _UNICODE_SPACES = tuple(
 
 _LOW_BYTES = np.array([(1 << (8 * k)) - 1 for k in range(8)], dtype=np.uint64)
 # Token keys: a token shorter than 8 bytes is its bytes with its length in
-# the top byte; a longer one is its serial number in a dict plus this.
+# the top byte; a longer one is this plus its index in the block, and for a
+# label then this plus its number among the file's long labels.
 _LONG_TOKEN = 0xFF << 56
 # The file is read this many bytes at a time; a block ends after its last
 # line break. Two blocks are parsed at once, one on each thread, so only two
@@ -87,10 +88,11 @@ def read_edge_list(path) -> EdgeList:
     the ids are int32 when the labels fit, int64 past that. The file is
     parsed a block of lines at a time, two blocks at once: the shared
     worker thread parses one while this thread parses the next (see
-    :func:`_parsed_blocks`). Block by block, in file order, each block
-    writes a key per label and a weight per row into columns sized once,
-    from a count of the file's line breaks, and :func:`_number_ends`
-    numbers the keys at the end.
+    :func:`_parsed_blocks`). Block by block, in file order, this thread
+    numbers each block's long labels (:func:`_number_long`) and writes a
+    key per label and a weight per row into columns sized once, from a
+    count of the file's line breaks, and :func:`_number_ends` numbers the
+    keys at the end.
     """
     long_labels: dict[bytes, int] = {}
     rows = 0
@@ -100,7 +102,8 @@ def read_edge_list(path) -> EdgeList:
         # varied from run to run on the local-100k file.
         cap = _line_bound(fh)
         ukey, vkey, w = np.empty(cap, np.uint64), np.empty(cap, np.uint64), np.empty(cap)
-        for k, wb in _parsed_blocks(path, _blocks(fh), long_labels):
+        for k, long, wb in _parsed_blocks(path, _blocks(fh)):
+            _number_long(k, long, long_labels)
             end = rows + len(wb)
             if end > cap:  # a file that cannot be rewound, or that grew
                 cap = max(end, 2 * cap)
@@ -109,7 +112,7 @@ def read_edge_list(path) -> EdgeList:
             vkey[rows:end] = k[1::2]
             w[rows:end] = wb
             rows = end
-            del k, wb  # freed before the next block is parsed
+            del k, long, wb  # freed before the next block is parsed
     if not rows:
         raise IngestError(f"{path}: no edges found")
     u, v, distinct = _number_ends(ukey[:rows], vkey[:rows])
@@ -123,19 +126,17 @@ def read_edge_list(path) -> EdgeList:
     return EdgeList(labels, u, v, w[:rows])
 
 
-def _parsed_blocks(path, blocks, long_labels: dict[bytes, int]):
-    """Each block's label keys and weights (see :func:`_read_block`), in
-    file order, with the long labels numbered in ``long_labels`` in file
-    order.
+def _parsed_blocks(path, blocks):
+    """Each block's label keys, long labels and weights (see
+    :func:`_read_block`), in file order.
 
     The blocks are parsed in pairs: the shared worker thread parses the
     first while this thread parses the second, so at most two are in
     flight; a last block without a partner, the whole file if it is one
     block, is parsed here. Neither half of a pair knows the line it starts
-    on, or the long labels before it: each numbers its lines from 1 and its
-    long labels in a dict of its own, and they are renumbered here, in file
-    order. A block that raises is parsed again here, at its turn, with its
-    real first line, so the error reported is the first in the file and
+    on, so each counts its lines from 0 and the counts are added here, in
+    file order. A block that raises is parsed again here, at its turn, with
+    its real first line, so the error reported is the first in the file and
     names its file line.
     """
     lines = 0
@@ -143,48 +144,44 @@ def _parsed_blocks(path, blocks, long_labels: dict[bytes, int]):
     for raw in blocks:
         after = next(blocks, None)
         if after is None:
-            keys, w, lines = _read_block(path, raw, lines, long_labels)
-            yield keys, w
+            *parsed, _ = _read_block(path, raw, lines)
+            yield parsed
             return
         ahead = _shared_worker().submit(_read_apart, path, raw)
         here = _read_apart(path, after)
         for block, parsed in ((raw, ahead.result()), (after, here)):
-            if parsed is None:  # raises, now naming the file line
-                keys, w, lines = _read_block(path, block, lines, long_labels)
-            else:
-                keys, w, count, local = parsed
-                _renumber_long(keys, local, long_labels)
-                lines += count
-            yield keys, w
+            if parsed is None:
+                _read_block(path, block, lines)  # raises, now naming the file line
+            *parsed, count = parsed
+            lines += count
+            yield parsed
         # hold no block of this pair, nor its results, while the next pair
         # is parsed
-        del raw, after, ahead, here, block, parsed, keys, w
+        del raw, after, ahead, here, block, parsed
 
 
 def _read_apart(path, raw: bytes):
-    """:func:`_read_block` on ``raw`` alone, as if it began the file: its
-    keys, weights, line count and long-label dict, or None if it raises
-    :class:`IngestError`."""
-    local: dict[bytes, int] = {}
+    """:func:`_read_block` on ``raw`` alone, as if it began the file, or
+    None if it raises :class:`IngestError`."""
     try:
-        keys, w, count = _read_block(path, raw, 0, local)
+        return _read_block(path, raw, 0)
     except IngestError:
         return None
-    return keys, w, count, local
 
 
-def _renumber_long(keys: np.ndarray, local: dict[bytes, int], long_labels: dict[bytes, int]):
-    """Renumber in place the long-label keys of a block numbered in
-    ``local`` to their numbers in ``long_labels``, which numbers the
-    block's new labels in their order in ``local``."""
-    if local:
-        number = np.fromiter(
-            (long_labels.setdefault(t, len(long_labels)) for t in local),
+def _number_long(keys: np.ndarray, long: list[bytes], long_labels: dict[bytes, int]):
+    """Key the long labels of a block, ``long`` in their order in ``keys``,
+    by ``_LONG_TOKEN`` plus their numbers in ``long_labels``, which numbers
+    new labels as it meets them. This is one dictionary lookup per label,
+    made on this thread in file order: a dict per block, renumbered here,
+    took two, and read a file of 11-byte labels half again as slowly as a
+    parse on one thread."""
+    if long:
+        keys[keys >= np.uint64(_LONG_TOKEN)] = np.uint64(_LONG_TOKEN) | np.fromiter(
+            (long_labels.setdefault(t, len(long_labels)) for t in long),
             dtype=np.uint64,
-            count=len(local),
+            count=len(long),
         )
-        long = np.flatnonzero(keys >= np.uint64(_LONG_TOKEN))
-        keys[long] = np.uint64(_LONG_TOKEN) | number[keys[long] - np.uint64(_LONG_TOKEN)]
 
 
 def _number_ends(ukey: np.ndarray, vkey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,12 +241,11 @@ def _blocks(fh):
         yield rest
 
 
-def _read_block(
-    path, raw: bytes, line0: int, long_labels: dict[bytes, int]
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _read_block(path, raw: bytes, line0: int) -> tuple[np.ndarray, list[bytes], np.ndarray, int]:
     """Parse one block of whole lines, the first of them line ``line0 + 1``
-    of the file. Returns the label keys ``u0, v0, u1, v1, ...`` (long labels
-    numbered in ``long_labels``), the weights, and the lines read so far.
+    of the file. Returns the label keys ``u0, v0, u1, v1, ...`` (see
+    :func:`_token_keys`), the labels of 8 bytes or more in that order, the
+    weights, and the number of lines in the block.
     """
     data = raw
     if not raw.isascii():
@@ -275,12 +271,14 @@ def _read_block(
     # The label and weight columns are copied out of rows, and each is
     # freed once used, so that the token work, which sets the parse's peak
     # memory, reuses theirs; two blocks are parsed at once.
-    starts = rows[:, [0, 2]].ravel()  # u0, v0, u1, v1, ...
-    lengths = rows[:, [1, 3]].ravel() - starts
+    starts = rows[:, 0:4:2].reshape(-1)  # u0, v0, u1, v1, ...
+    lengths = (rows[:, 1:4:2] - rows[:, 0:4:2]).reshape(-1)
     wstarts, wlengths = rows[:, 4].copy(), rows[:, 5] - rows[:, 4]
     del bounds, rows
-    keys = _token_keys(data, words, starts, lengths, long_labels)
-    del starts, lengths
+    keys = _token_keys(words, starts, lengths)
+    is_long = lengths >= 8
+    long = [data[a : a + n] for a, n in zip(starts[is_long].tolist(), lengths[is_long].tolist())]
+    del starts, lengths, is_long
     w, bad_row = _parse_weights(data, words, wstarts, wlengths)
     if bad_row >= 0:
         token = raw[wstarts[bad_row] : wstarts[bad_row] + wlengths[bad_row]].decode()
@@ -292,7 +290,7 @@ def _read_block(
         hi = breaks[line] if line < len(breaks) else len(raw)
         text = raw[lo:hi].decode().strip()
         raise IngestError(f"{path}:{line0 + line + 1}: expected 'u v w', got {text!r}")
-    return keys, w, line0 + len(breaks)
+    return keys, long, w, len(breaks)
 
 
 def _split(buf: np.ndarray, has_comments: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,13 +353,25 @@ def _parse_weights(
     """Read each token as Python's ``float()`` reads it. Returns the values
     and the index of the first token it rejects (-1 if none).
 
-    Weight columns repeat few distinct short tokens (often just ``1`` and
-    ``-1``), so each distinct one is converted once. Tokens of 8 bytes or
-    more, most often floats written out in full, seldom repeat, and each is
-    converted by itself: numbered in a dict, they held about 120 bytes a
-    row, more than all else a block's parse holds at once.
+    Weight columns repeat few distinct tokens (often just ``1`` and ``-1``,
+    or ``%f``'s ``1.000000`` and ``-1.000000``), so each distinct token of
+    up to 15 bytes is converted once. A token of 8 to 15 bytes is keyed by
+    the numbers of its first 8 bytes and of the rest, each numbered among
+    the block's. A longer one, such as a float's ``repr`` (17 digits), has
+    a key of its own (see :func:`_token_keys`) and is converted by itself.
     """
-    ids, first, _ = _intern(_token_keys(data, words, starts, lengths, None))
+    key = _token_keys(words, starts, lengths)
+    mid = np.flatnonzero((lengths >= 8) & (lengths < 16))
+    if mid.size:
+        head = _intern(words[starts[mid]])[0]
+        # the rest of an 8-byte token is empty, keyed 0 from any start;
+        # the block's last byte stands in for one past its end
+        rest = np.minimum(starts[mid] + 8, len(data) - 1)
+        tail = _intern(_token_keys(words, rest, lengths[mid] - 8))[0]
+        head *= mid.size
+        head += tail
+        key[mid] = np.uint64(_LONG_TOKEN | 1 << 55) | head.view(np.uint64)
+    ids, first, _ = _intern(key)
     values = np.empty(len(first))
     for k, (a, n) in enumerate(zip(starts[first].tolist(), lengths[first].tolist())):
         try:
@@ -378,30 +388,14 @@ def _byte_words(data: bytes) -> np.ndarray:
     return as_strided(padded, shape=(len(data),), strides=(1,))
 
 
-def _token_keys(
-    data: bytes,
-    words: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    long_tokens: dict[bytes, int] | None,
-) -> np.ndarray:
-    """One uint64 per token, equal exactly for equal tokens: the bytes and
-    length of a token shorter than 8 bytes, else ``_LONG_TOKEN`` plus the
-    token's number in ``long_tokens``, which numbers new tokens as it meets
-    them. Without ``long_tokens``, a long token's number is its index, so
-    each long token has a key of its own."""
+def _token_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One uint64 per token: the bytes and length of a token shorter than 8
+    bytes, equal exactly for equal tokens, and ``_LONG_TOKEN`` plus its
+    index for a longer one."""
     key = words[starts] & _LOW_BYTES[np.minimum(lengths, 7)]
     key |= lengths.astype(np.uint64) << np.uint64(56)
     long = np.flatnonzero(lengths >= 8)
-    if long.size and long_tokens is None:
-        key[long] = np.uint64(_LONG_TOKEN) | long.astype(np.uint64)
-    elif long.size:
-        tokens = (data[a : a + n] for a, n in zip(starts[long].tolist(), lengths[long].tolist()))
-        key[long] = np.uint64(_LONG_TOKEN) | np.fromiter(
-            (long_tokens.setdefault(t, len(long_tokens)) for t in tokens),
-            dtype=np.uint64,
-            count=long.size,
-        )
+    key[long] = np.uint64(_LONG_TOKEN) | long.astype(np.uint64)
     return key
 
 

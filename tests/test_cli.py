@@ -4,6 +4,7 @@ import pytest
 
 from signedpolar import cli
 from signedpolar.cli import main
+from signedpolar.graph import GraphError
 from signedpolar.harness import EXPERIMENT_COLUMNS, TIMING_COLUMNS
 
 
@@ -58,6 +59,34 @@ class TestQueryCommand:
     def test_unknown_label_is_data_error(self, t3_file):
         code = main(["query", "--graph", str(t3_file), "--s1", "zzz"])
         assert code == 2
+
+    def test_failed_query_leaves_an_existing_output_as_it_was(self, t3_file, tmp_path):
+        out = tmp_path / "result.json"
+        out.write_text("earlier result\n")
+        code = main(["query", "--graph", str(t3_file), "--s1", "zzz", "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "earlier result\n"
+
+    def test_failed_query_makes_no_output_file(self, t3_file, tmp_path):
+        out = tmp_path / "result.json"
+        code = main(["query", "--graph", str(t3_file), "--s1", "zzz", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_output_may_be_the_graph_it_reads(self, t3_file, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(t3_file.read_bytes())
+        code = main(["query", "--graph", str(path), "--s1", "a", "--s2", "c",
+                     "--out", str(path)])
+        assert code == 0
+        assert json.loads(path.read_text())["kappa"] > 0
+
+    def test_query_output_replaces_a_longer_file(self, t3_file, tmp_path):
+        out = tmp_path / "result.json"
+        out.write_text("x" * 100_000)
+        assert main(["query", "--graph", str(t3_file), "--s1", "a", "--s2", "c",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kappa"] > 0
 
     def test_bad_kappa_is_usage_error(self, t3_file, capsys):
         code = main(["query", "--graph", str(t3_file), "--s1", "a", "--kappa", "1.0"])
@@ -186,6 +215,18 @@ class TestExperimentCommand:
         assert calls == []
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(tmp_path) in err
+
+    def test_failed_experiment_leaves_an_existing_output_as_it_was(self, tmp_path,
+                                                                   monkeypatch):
+        def fail(config):
+            raise GraphError("campaign failed")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        out = tmp_path / "result.csv"
+        out.write_text("earlier,result\n")
+        code = main(["experiment", "--graphs", "1", "--queries", "1", "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "earlier,result\n"
 
     def test_timings_flag_appends_the_timing_columns(self, tmp_path):
         args = ["experiment", "--eta", "0.0", "--pairs", "2", "--band-size", "4",

@@ -203,6 +203,59 @@ class TestReferenceEquivalence:
         assert first.tolist() == [0, 1, 4] and distinct.tolist() == [5, 3, 9]
 
     @given(
+        pool=st.lists(st.text("0123456789.-+e_x", min_size=1, max_size=20), min_size=1,
+                      max_size=12),
+        picks=st.lists(st.integers(0, 11), min_size=1, max_size=60),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weights_read_as_float_reads_them(self, pool, picks, block):
+        # a few distinct tokens of every length, many sharing their first
+        # 8 bytes, each repeated; the first token float() rejects is named
+        tokens = [pool[i % len(pool)] for i in picks]
+        want, bad = [], -1
+        for i, t in enumerate(tokens):
+            try:
+                want.append(float(t))
+            except ValueError:
+                bad = i
+                break
+        data = " ".join(tokens).encode()
+        lengths = np.array([len(t) for t in tokens])
+        starts = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+            values, got_bad = io_mod._parse_weights(data, io_mod._byte_words(data),
+                                                    starts, lengths)
+        assert got_bad == bad
+        if bad < 0:
+            assert values.tolist() == want
+
+    def test_long_weights_that_repeat_match_reference(self, tmp_path, monkeypatch):
+        # %f weights of 8 to 15 bytes, near twins that share their first 8
+        # bytes, and repr weights past 15, across blocks on both threads
+        monkeypatch.setattr(io_mod, "_BLOCK_BYTES", 1 << 10)
+        rng = np.random.default_rng(5)
+        choices = ["1.000000", "-1.000000", "1.0000005", "1.00000050", "1.000000e+00",
+                   "12345678.5", "-12345678.5", "0.30000000000000004", "2"]
+        rows = [f"n{rng.integers(50)} m{rng.integers(50)} {choices[k]}"
+                for k in rng.integers(len(choices), size=2_000)]
+        path = tmp_path / "g.edges"
+        path.write_text("\n".join(rows) + "\n")
+        assert_matches_reference(path)
+        rows[1_500] = rows[1_500].rsplit(" ", 1)[0] + " 1.00000x0"
+        rows[1_700] = rows[1_700].rsplit(" ", 1)[0] + " 1.0000y00"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(IngestError, match=r":1501: weight '1.00000x0' is not a number"):
+            read_edge_list(path)
+
+    def test_eight_byte_weight_ends_the_file(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("a b -1.00000\nb c 1.000000")
+        assert read_edge_list(path).w.tolist() == [-1.0, 1.0]
+        assert_matches_reference(path)
+
+    @given(
         keys=st.lists(st.integers(0, 40), max_size=200)
         | st.lists(st.integers(0, 2**64 - 1), max_size=200),
         block=st.sampled_from([1, 2, 3, 7, 64]),
