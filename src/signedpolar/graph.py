@@ -21,8 +21,8 @@ from scipy.sparse.csgraph import connected_components
 Label = Hashable
 
 SEED_NORM_TOL = 1e-10
-# Entries per block of the per-edge passes that work a block at a time
-# (here, in io and in sweep), so that no temporary of theirs is longer.
+# Entries per block of the passes over U's rows (_row_blocks) and over flat
+# columns (_spans), so that no temporary of theirs is longer.
 # The graphs of a few thousand edges that experiments build take one block;
 # at 2**12 they took two, and the extra pass made their queries slower.
 # Blocks of 2**15 raised the ingest peak of a 75k-key file by 6%.
@@ -64,6 +64,8 @@ class SignedGraph:
         self.labels = tuple(labels)
         self.node_count = n = len(self.labels)
         self.label_index = dict(zip(self.labels, range(n)))
+        if len(self.label_index) < n:
+            raise GraphError("node labels are not distinct")
         if not (sp.issparse(adjacency) and adjacency.format == "csr" and adjacency.shape == (n, n)):
             raise GraphError(f"adjacency must be a {n} x {n} scipy CSR matrix")
         if not adjacency.has_canonical_format:
@@ -75,8 +77,7 @@ class SignedGraph:
         if (indices[indptr[rows]] <= rows).any() or (indices[indptr[rows + 1] - 1] >= n).any():
             raise GraphError("adjacency entries must lie above the diagonal, inside the matrix")
         self.adjacency = adjacency.astype(np.float64, copy=False)
-        ends = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-        self.degrees = _end_sums(ends, indices, self.adjacency.data, n, np.abs)
+        self.degrees = _end_sums(self.adjacency, np.abs)
         self.total_volume = float(self.degrees.sum())
         self._cache = {}
 
@@ -137,13 +138,26 @@ def _spans(size: int):
     return ((a, min(a + _GATHER_BLOCK, size)) for a in range(0, size, _GATHER_BLOCK))
 
 
-def _row_spans(indptr: np.ndarray):
-    """The bounds ``(r0, r1)`` of consecutive row ranges of a CSR matrix
-    that cover all its entries, in order, each holding about
-    ``_GATHER_BLOCK`` entries: more only where one row holds more."""
-    row_of = np.searchsorted(indptr, np.arange(0, indptr[-1], _GATHER_BLOCK), side="right") - 1
-    starts = list(dict.fromkeys(row_of.tolist()))  # row_of is sorted
-    return zip(starts, starts[1:] + [len(indptr) - 1])
+def _row_blocks(indptr: np.ndarray, rows: np.ndarray | None = None):
+    """The blocks of the entries of a CSR matrix's rows, all or an ascending
+    array of them, in order: each of at most ``_GATHER_BLOCK`` entries, or
+    one row that holds more. Yields per block its rows, their entry counts
+    and their entries' positions; rows and positions are slices where the
+    rows are consecutive (always for all rows), else arrays."""
+    rows = np.arange(len(indptr) - 1) if rows is None else rows
+    counts = indptr[rows + 1] - indptr[rows]
+    ends = np.zeros(len(rows) + 1, dtype=np.int64)  # int64, or searchsorted casts it
+    np.cumsum(counts, out=ends[1:])
+    shift = indptr[rows] - ends[:-1]  # an entry's position less its place in the walk
+    j = 0
+    while j < len(rows):  # the block of rows i to j - 1
+        i, j = j, max(j + 1, int(np.searchsorted(ends, ends[j] + _GATHER_BLOCK, "right")) - 1)
+        sizes = counts[i:j]
+        if rows[j - 1] - rows[i] == j - 1 - i:  # consecutive rows
+            at = slice(int(shift[i] + ends[i]), int(shift[i] + ends[j]))
+            yield slice(int(rows[i]), int(rows[j - 1]) + 1), sizes, at
+        else:
+            yield rows[i:j], sizes, np.repeat(shift[i:j], sizes) + np.arange(ends[i], ends[j])
 
 
 def _or_positions(words: np.ndarray) -> None:
@@ -185,21 +199,20 @@ def _stable_sort(key: np.ndarray, col: np.ndarray) -> np.ndarray:
     return out
 
 
-def _end_sums(rows: np.ndarray, cols: np.ndarray, w: np.ndarray, size: int, part) -> np.ndarray:
-    """Sum each entry's weight ``part(w)`` onto both its ends: its row and
-    its column.
-
-    ``np.add.at`` adds in index order from zero, as one ``np.bincount``
-    would, and every row term comes before every column term. It goes a
-    block of entries at a time, so ``part(w)`` is never made whole.
+def _end_sums(adj: sp.csr_matrix, part) -> np.ndarray:
+    """Sum each entry's weight ``part(w)`` of the CSR matrix ``adj`` onto
+    both its ends, a block of :func:`_row_blocks` at a time. Every row term
+    comes before every column term, each in entry order from zero: a row's
+    by one ``np.bincount`` of its block, then the columns' by ``np.add.at``.
     Degrees, :func:`edge_counts`' internal weights and the positive degrees
     of ``harness.sample_seed_pairs`` all sum this way; the boundary of
-    :func:`edge_counts` is exact only because the orders match.
-    """
-    sums = np.zeros(size)
-    for ends in (rows, cols):
-        for a, b in _spans(len(w)):
-            np.add.at(sums, ends[a:b], part(w[a:b]))
+    :func:`edge_counts` is exact only because the orders match."""
+    sums = np.zeros(adj.shape[0])
+    for r, sizes, at in _row_blocks(adj.indptr):
+        local = np.repeat(np.arange(len(sizes)), sizes)
+        sums[r] = np.bincount(local, part(adj.data[at]), minlength=len(sizes))
+    for r, sizes, at in _row_blocks(adj.indptr):
+        np.add.at(sums, adj.indices[at], part(adj.data[at]))
     return sums
 
 
@@ -366,8 +379,6 @@ def _check_rows(edges: EdgeList) -> tuple[list, np.ndarray, np.ndarray]:
     labels = list(edges.labels) if every_label else [
         edges.labels[i] for i in np.flatnonzero(used).tolist()
     ]
-    if len(set(labels)) < len(labels):
-        raise GraphError("edge list labels are not distinct")
     new_id = None if every_label else np.cumsum(used) - 1  # used labels keep their order
     n = len(labels)
     key = np.empty(m, dtype=np.int64)
@@ -437,40 +448,38 @@ def edge_counts(g: SignedGraph, c1, c2, *, _side=None) -> EdgeCounts:
     union is seen once, from the row of its lower endpoint. A boundary edge
     may lie in a row outside the union, so the boundary is summed per node:
     ``max(deg[r] - inner[r], 0)`` over the union, ``inner[r]`` being node
-    ``r``'s internal ``|w|``. ``inner`` and ``degrees`` are both summed by
-    :func:`_end_sums`, so a node without an outside neighbour adds exactly 0,
+    ``r``'s internal ``|w|``. The rows go a block of :func:`_row_blocks` at
+    a time; the internal entries' columns and ``|w|`` are kept for the
+    column terms of ``inner``, after every row term, in the order of
+    :func:`_end_sums`: a node without an outside neighbour adds exactly 0,
     and a whole-graph split has boundary 0. ``_side`` is the already built
     ``_membership(g, c1, c2)``."""
     side = _membership(g, c1, c2) if _side is None else _side
-    rows = np.flatnonzero(side)
+    rows = np.flatnonzero(side != 0)  # of a bool array: 9 times faster than of int8
     adj = g.adjacency
-    begin = adj.indptr[rows].astype(np.int64)
-    size = adj.indptr[rows + 1] - begin
-    # entry positions of the rows, row after row
-    at = np.repeat(begin - (np.cumsum(size) - size), size)
-    at += np.arange(len(at))
-    col = adj.indices[at]
-    inside = side[col] != 0
-    at = at[inside]
-    w = adj.data[at]
-    # each internal entry's row and column as positions in rows
-    place = np.empty(g.node_count, dtype=np.int64)  # read only at rows
-    place[rows] = np.arange(len(rows))
-    k = np.repeat(np.arange(len(rows)), size)[inside]
-    j = place[col[inside]]
-    # class = [row side is -1][column side is -1][weight > 0]
-    neg = (side[rows] < 0).astype(np.int8)
-    cls = neg[k] * np.int8(4)
-    cls += neg[j] * np.int8(2)
-    cls += w > 0
-    # a class holds weights of one sign, so |sum| is the sum of |w|
-    c = np.abs(np.bincount(cls, w, minlength=8)).reshape(2, 2, 2)
-    inner = _end_sums(k, j, w, len(rows), np.abs)
+    inner = np.empty(g.node_count)  # every row of the union is written
+    c = np.zeros(8)  # class = [row side is -1][column side is -1][weight > 0]
+    kept = []
+    for r, sizes, at in _row_blocks(adj.indptr, rows):
+        col = adj.indices[at]
+        col_side = side.take(col)
+        inside = np.flatnonzero(col_side != 0)  # taken by index: masks cost more
+        local = np.repeat(np.arange(len(sizes)), sizes).take(inside)
+        col, w = col.take(inside), adj.data[at].take(inside)
+        cls = (side[r] < 0).view(np.int8).take(local) * np.int8(4)
+        cls += (col_side.take(inside) < 0).view(np.int8) * np.int8(2)
+        cls += w > 0
+        np.add.at(c, cls, w)  # goes on from the sums of the blocks before
+        inner[r] = np.bincount(local, np.abs(w, out=w), minlength=len(sizes))
+        kept.append((col, w))
+    for col, w in kept:
+        np.add.at(inner, col, w)
+    c = np.abs(c).reshape(2, 2, 2)  # one sign a class, so |sum| is the sum of |w|
     return EdgeCounts(
         pos_across=float(c[0, 1, 1] + c[1, 0, 1]),
         neg_in_1=float(c[0, 0, 0]),
         neg_in_2=float(c[1, 1, 0]),
-        boundary=float(np.maximum(g.degrees[rows] - inner, 0.0).sum()),
+        boundary=float(np.maximum(g.degrees[rows] - inner[rows], 0.0).sum()),
         pos_in_1=float(c[0, 0, 1]),
         pos_in_2=float(c[1, 1, 1]),
         neg_across=float(c[0, 1, 0] + c[1, 0, 0]),
@@ -484,21 +493,13 @@ def community(g: SignedGraph, c1, c2) -> Community:
     takes them; the bands are their distinct nodes in ascending order.
     """
     side = _membership(g, c1, c2)
-    union = np.flatnonzero(side)
-    if not union.size:
+    c1, c2 = np.flatnonzero(side > 0), np.flatnonzero(side < 0)
+    if not (c1.size or c2.size):
         raise GraphError("both bands are empty")
-    c1 = np.flatnonzero(side > 0)
-    c2 = np.flatnonzero(side < 0)
     counts = edge_counts(g, c1, c2, _side=side)
-    vol = float(g.degrees[union].sum())
+    vol = float(g.degrees[side != 0].sum())
     num = 2.0 * counts.pos_across + counts.neg_in_1 + counts.neg_in_2 + counts.boundary
-    return Community(
-        c1=tuple(c1.tolist()),
-        c2=tuple(c2.tolist()),
-        beta=num / vol,
-        counts=counts,
-        volume=vol,
-    )
+    return Community(tuple(c1.tolist()), tuple(c2.tolist()), num / vol, counts, vol)
 
 
 def seed_vector(g: SignedGraph, s1, s2) -> SeedVector:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Community, GraphError, SignedGraph, _end_sums, community, seed_vector
+from .graph import (Community, GraphError, SignedGraph, _end_sums, _row_blocks, community,
+                    seed_vector)
 from .metrics import metric_report
 from .spectral import solve_seeded
 from .sweep import fast_sweep
@@ -107,39 +108,36 @@ def query(
     return doc
 
 
-def sample_seed_pairs(
-    g: SignedGraph, t: float, count: int, rng_seed: int = 0
-) -> list[tuple]:
+def sample_seed_pairs(g: SignedGraph, t: float, count: int, rng_seed: int = 0) -> list[tuple]:
     """Sample seed pairs from negative edges with positively-connected ends.
 
     A negative edge (u, v) qualifies when both endpoints carry positive
     degree at least ``t``; ``count`` pairs are drawn uniformly without
     replacement. Fewer qualifying edges than requested returns them all.
+    The edges are found a block of ``graph._row_blocks`` at a time.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("threshold t must be nonnegative")
-    edges = g.adjacency.tocoo()
-    u, v, w = edges.row, edges.col, edges.data
-    pos = _end_sums(u, v, w, g.node_count, lambda x: np.maximum(x, 0.0))  # positive degrees
-    ok = (w < 0) & (pos[u] >= t) & (pos[v] >= t)
-    idx = np.flatnonzero(ok)
+    adj = g.adjacency
+    ok_end = _end_sums(adj, lambda x: np.maximum(x, 0.0)) >= t  # positive degree >= t
+    found = [np.empty(0, dtype=np.int64)]
+    for r, sizes, at in _row_blocks(adj.indptr):
+        ok = (adj.data[at] < 0) & np.repeat(ok_end[r], sizes) & ok_end.take(adj.indices[at])
+        found.append(np.flatnonzero(ok) + at.start)
+    idx = np.concatenate(found)
     if len(idx) == 0:
-        raise GraphError(
-            f"no negative edge has both endpoints with positive degree >= {t}; "
-            "lower the threshold"
-        )
+        raise GraphError(f"no negative edge has both endpoints with positive degree >= {t}; "
+                         "lower the threshold")
     if count >= len(idx):
         if count > len(idx):
-            logger.warning(
-                "requested %d seed pairs but only %d qualify; returning all",
-                count,
-                len(idx),
-            )
+            logger.warning("requested %d seed pairs but only %d qualify; returning all",
+                           count, len(idx))
         chosen = idx
     else:
         rng = np.random.default_rng(rng_seed)
         chosen = rng.choice(idx, size=count, replace=False)
-    return [(g.labels[u[i]], g.labels[v[i]]) for i in chosen]
+    u = np.searchsorted(adj.indptr, chosen, side="right") - 1  # the entries' rows
+    return [(g.labels[a], g.labels[b]) for a, b in zip(u.tolist(), adj.indices[chosen].tolist())]
 
 
 def _pick_truth_pair(g, truth: GroundTruth, size: int, rng):

@@ -48,6 +48,7 @@ from .graph import (
     SignedGraph,
     _index_dtype,
     _or_positions,
+    _row_blocks,
     _shared_worker,
     _spans,
     build_graph,
@@ -456,16 +457,18 @@ def write_edge_list(path, g: SignedGraph) -> None:
     A label whose ``str()`` is not one token under ``str.split()``, or holds
     ``#``, raises :class:`GraphError` before the file is opened. Weights get
     17 significant digits, which read back as the same float; ``1.0`` is
-    written as ``1``.
+    written as ``1``. The lines go a block of ``graph._row_blocks`` at a time.
     """
     names = [str(label) for label in g.labels]
     for name in names:
         if name.split() != [name] or "#" in name:
             raise GraphError(f"label {name!r} cannot be written as one token")
-    edges = g.adjacency.tocoo()
+    adj = g.adjacency
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in zip(edges.row.tolist(), edges.col.tolist(), edges.data.tolist()):
-            fh.write(f"{names[u]} {names[v]} {w:.17g}\n")
+        for r, sizes, at in _row_blocks(adj.indptr):
+            u = np.repeat(np.arange(r.start, r.stop), sizes).tolist()
+            fh.writelines(f"{names[a]} {names[b]} {w:.17g}\n" for a, b, w in
+                          zip(u, adj.indices[at].tolist(), adj.data[at].tolist()))
 
 
 def ingest(path, directed: bool = False) -> SignedGraph:

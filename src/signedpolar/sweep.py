@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Community, GraphError, SignedGraph, _row_spans, community
+from .graph import Community, GraphError, SignedGraph, _row_blocks, community
 
 
 # An edge's charge in units of w, indexed by 2 * (endpoints on one side) +
@@ -88,11 +88,11 @@ def build_sweep_table(g: SignedGraph, x) -> SweepTable:
     """Fill all prefix arrays in O(m + n log n): one sort, then one edge pass
     charging each edge at the prefix where its later endpoint enters.
 
-    The pass goes over ``U`` a block of rows at a time, so its temporaries
-    are a block long. Each block's charges are added to their prefixes by
-    ``np.add.at``, which goes on from the sums of the blocks before, in
-    entry order: each prefix gets the bits of one ``np.bincount`` over all
-    the edges.
+    The pass walks ``U`` by :func:`~signedpolar.graph._row_blocks`, so its
+    temporaries are a block long. Each block's charges are added to their
+    prefixes by ``np.add.at``, which goes on from the sums of the blocks
+    before, in entry order: each prefix gets the bits of one
+    ``np.bincount`` over all the edges.
     """
     x = _check_vector(g, x)
     nodes = np.flatnonzero(x != 0.0)
@@ -107,16 +107,14 @@ def build_sweep_table(g: SignedGraph, x) -> SweepTable:
 
     # an edge (u, v) of U is an entry of row u and column v
     adj = g.adjacency
-    row_size = np.diff(adj.indptr)
     charge = np.zeros(nz + 2)
-    for r0, r1 in _row_spans(adj.indptr):
-        a, b = adj.indptr[r0], adj.indptr[r1]
-        cols, sizes = adj.indices[a:b], row_size[r0:r1]
-        hi = np.repeat(enters[r0:r1], sizes)
+    for r, sizes, at in _row_blocks(adj.indptr):
+        cols = adj.indices[at]
+        hi = np.repeat(enters[r], sizes)
         np.maximum(hi, enters.take(cols), out=hi)  # the first prefix the edge is in
-        same_side = np.repeat(positive[r0:r1], sizes)
+        same_side = np.repeat(positive[r], sizes)
         np.equal(same_side, positive.take(cols), out=same_side)
-        np.add.at(charge, hi, edge_charge(adj.data[a:b], same_side))
+        np.add.at(charge, hi, edge_charge(adj.data[at], same_side))
     vol_abs = np.concatenate([[0.0], np.cumsum(g.degrees[order_abs])])
     numerator = vol_abs + np.cumsum(charge[: nz + 1])
 

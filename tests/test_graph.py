@@ -84,6 +84,11 @@ class TestConstructor:
         with pytest.raises(GraphError, match="sorted, with no repeated entry|above the diagonal"):
             SignedGraph(["a", "b", "c"], bad)
 
+    def test_labels_must_be_distinct(self):
+        # a repeated label would leave a node that index_of cannot reach
+        with pytest.raises(GraphError, match="not distinct"):
+            SignedGraph(["a", "b", "a"], sp.csr_matrix((3, 3)))
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_adjacency_matches_the_coo_route(self, weighted):
         n = 200
@@ -304,6 +309,38 @@ class TestEdgeOrder:
         assert np.array_equal(col.view(np.int64), held.view(np.int64))
 
 
+class TestRowBlocks:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+           shape=st.sampled_from(["plain", "no entries", "long row"]),
+           which=st.sampled_from(["all", "subset", "empty"]),
+           block=st.sampled_from([1, 3, 1 << 14]), dtype=st.sampled_from([np.int32, np.int64]))
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_walk_the_rows_entries_in_order(self, seed, n, shape, which, block, dtype):
+        # rows of 0 to 5 entries, none at all, or one row a block and one long
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(0, 6, n) * (shape != "no entries")
+        if n and shape == "long row":
+            sizes[rng.integers(n)] = block + 1
+        indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(dtype)
+        rows = {"all": None, "subset": np.flatnonzero(rng.random(n) < 0.5),
+                "empty": np.empty(0, dtype=np.int64)}[which]
+        want = np.arange(n) if rows is None else rows
+        seen_rows, seen_at = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+            for r, counts, at in graph_mod._row_blocks(indptr, rows):
+                if rows is None:
+                    assert isinstance(r, slice) and isinstance(at, slice)
+                r, at = np.arange(n)[r], np.arange(indptr[-1])[at]
+                assert np.array_equal(counts, sizes[r])
+                assert len(at) <= block or len(r) == 1
+                seen_rows.append(r)
+                seen_at.append(at)
+        assert np.array_equal(np.concatenate(seen_rows), want)
+        entries = [np.arange(indptr[i], indptr[i + 1]) for i in want]
+        assert np.array_equal(np.concatenate(seen_at), np.concatenate(seen_at[:1] + entries))
+
+
 def _random_split(g, rng):
     side = rng.integers(-1, 2, size=g.node_count)
     return np.flatnonzero(side == 1), np.flatnonzero(side == -1)
@@ -328,6 +365,29 @@ class TestEdgeCounts:
                 assert getattr(fast, name) == pytest.approx(value, rel=1e-12, abs=1e-300)
         else:
             assert fast == ref
+
+    def test_peak_holds_only_the_internal_entries(self):
+        # A dense graph, 50 edges a node, and a union of about half its
+        # nodes: a quarter of the edges are internal, half lie in the
+        # union's rows. Blocks of 2**10 entries make about a hundred, so the
+        # allowance of a block hides no term in the union's volume; of the
+        # entries, only the internal ones' columns and |w| are kept whole.
+        g = make_random_graph(2000, 100_000, seed=6, weighted=True)
+        side = np.random.default_rng(0).integers(-2, 2, g.node_count)
+        in_union = (side == 1) | (side == -1)
+        e = g.adjacency.tocoo()
+        internal = int((in_union[e.row] & in_union[e.col]).sum())
+        block = 1 << 10
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                edge_counts(g, np.flatnonzero(side == 1), np.flatnonzero(side == -1))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 64 * g.node_count + 48 * block + 16 * internal
 
     def test_t3_two_vs_one(self, t3):
         c = edge_counts(t3, {0, 1}, {2})

@@ -22,6 +22,7 @@ from signedpolar import (
     write_edge_list,
     write_ground_truth,
 )
+import signedpolar.graph as graph_mod
 from signedpolar.harness import ExperimentConfig, experiment_csv, run_experiment
 from signedpolar.oracle import naive_degrees, naive_sweep
 from signedpolar.synth import GroundTruth, SynthParams, generate
@@ -92,6 +93,10 @@ class TestIngest:
         g = SignedGraph(base.labels, adj)
         path = tmp_path / "rt.edges"
         write_edge_list(path, g)
+        with pytest.MonkeyPatch.context() as patch:  # the same bytes from blocks of 3
+            patch.setattr(graph_mod, "_GATHER_BLOCK", 3)
+            write_edge_list(tmp_path / "rt3.edges", g)
+        assert (tmp_path / "rt3.edges").read_bytes() == path.read_bytes()
         rows = read_edge_list(path)
         # the file lists the edges in (u, v) order, which numbers a re-read
         # graph's nodes
@@ -211,24 +216,34 @@ class TestSeedSampling:
     def test_threshold_filters(self, t3):
         with pytest.raises(GraphError):
             sample_seed_pairs(t3, t=5.0, count=1)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                sample_seed_pairs(t3, t=bad, count=1)
 
-    @given(seed=st.integers(0, 10_000), weighted=st.booleans(), q=st.floats(0.0, 1.0))
+    @given(seed=st.integers(0, 10_000), weighted=st.booleans(), q=st.floats(0.0, 1.0),
+           block=st.sampled_from([3, 1 << 14]))
     @settings(max_examples=40, deadline=None)
-    def test_qualifies_negative_edges_by_reference_positive_degree(self, seed, weighted, q):
+    def test_qualifies_negative_edges_by_reference_positive_degree(self, seed, weighted, q,
+                                                                   block):
         g = random_signed_graph(30, 90, rng_seed=seed, weighted=weighted)
         _, pos = naive_degrees(g)
         t = float(np.quantile(pos, q))
         e = g.adjacency.tocoo()
-        expected = {
-            (g.labels[a], g.labels[b])
-            for a, b, w in zip(e.row, e.col, e.data)
-            if w < 0 and pos[a] >= t and pos[b] >= t
-        }
-        if not expected:
-            with pytest.raises(GraphError, match="lower the threshold"):
-                sample_seed_pairs(g, t=t, count=g.edge_count)
-        else:
-            assert set(sample_seed_pairs(g, t=t, count=g.edge_count)) == expected
+        ok = np.flatnonzero((e.data < 0) & (pos[e.row] >= t) & (pos[e.col] >= t))
+        pairs = [(g.labels[e.row[i]], g.labels[e.col[i]]) for i in ok]  # in entry order
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+            if not pairs:
+                with pytest.raises(GraphError, match="lower the threshold"):
+                    sample_seed_pairs(g, t=t, count=g.edge_count)
+                return
+            assert sample_seed_pairs(g, t=t, count=g.edge_count) == pairs
+            count = max(1, len(pairs) - 2)  # below the number that qualify, unless one does
+            got = sample_seed_pairs(g, t=t, count=count, rng_seed=seed)
+        drawn = np.random.default_rng(seed).choice(ok, size=count, replace=False)
+        want = pairs if count == len(pairs) else [(g.labels[e.row[i]], g.labels[e.col[i]])
+                                                  for i in drawn]
+        assert got == want
 
 
 class TestExperiment:

@@ -441,10 +441,14 @@ class TestBuilderInputs:
             build_graph(EdgeList(["a", "a"], np.array([0]), np.array([1]), np.array([1.0])))
 
     def test_degrees_match_add_at_reference(self):
-        # weighted sums depend on the order of their terms, so this pins it
-        g = random_signed_graph(300, 3000, rng_seed=4, weighted=True)
-        deg, _ = naive_degrees(g)
-        assert np.array_equal(g.degrees, deg)
+        # weighted sums depend on the order of their terms, so this pins it;
+        # blocks of 3 entries split the rows' walk into many
+        for block in (3, 1 << 14):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph_mod, "_GATHER_BLOCK", block)
+                g = random_signed_graph(300, 3000, rng_seed=4, weighted=True)
+            deg, _ = naive_degrees(g)
+            assert np.array_equal(g.degrees, deg), block
 
     def test_tuples_of_other_lengths_rejected(self):
         with pytest.raises(GraphError, match="triple"):
