@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signedpolar.graph as graph_mod
-from signedpolar import SweepError, build_graph, build_sweep_table, fast_sweep
+from signedpolar import SignedGraph, SweepError, build_graph, build_sweep_table, fast_sweep
 from signedpolar.oracle import naive_sweep, rayleigh_quotient
 from signedpolar.sweep import edge_charge
 from conftest import make_random_graph, scratch_beta
@@ -101,6 +102,45 @@ class TestSweepTable:
             c2 = [int(u) for u in prefix if x[u] < 0]
             expected = scratch_beta(g, c1, c2)
             assert t.beta_prefix[i] == pytest.approx(expected, rel=1e-12)
+
+
+def _lexsort_order(x):
+    """The nonzero nodes in the three-key order: |x| descending, x
+    descending, node ascending."""
+    nodes = np.flatnonzero(x != 0.0)
+    return nodes[np.lexsort((nodes, -x[nodes], -np.abs(x[nodes])))]
+
+
+class TestOrder:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 300),
+        kind=st.sampled_from(["halves", "rounded", "equal", "one"]),
+    )
+    @example(seed=0, n=300, kind="equal")
+    @example(seed=0, n=300, kind="one")
+    @example(seed=0, n=1, kind="one")
+    @settings(max_examples=80, deadline=None)
+    def test_matches_three_key_lexsort_on_ties(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "halves":
+            x = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n)
+        elif kind == "rounded":
+            x = np.round(rng.standard_normal(n), 1)
+        elif kind == "equal":  # every |x| alike, of both signs
+            x = rng.choice([-0.5, 0.5], n)
+        else:
+            x = np.zeros(n)
+        if kind == "one" or not np.any(x):
+            x[rng.integers(n)] = rng.choice([-1.0, 1.0])
+        if n > 1:
+            g = make_random_graph(n, 2 * n, seed=seed % 997)
+            table = build_sweep_table(g, x)
+        else:
+            g = SignedGraph(["a"], sp.csr_matrix((1, 1)))
+            with np.errstate(invalid="ignore"):  # a lone node has no volume
+                table = build_sweep_table(g, x)
+        np.testing.assert_array_equal(table.order_abs, _lexsort_order(x))
 
 
 def _one_pass_table(g, x):
@@ -204,6 +244,15 @@ class TestFastSweep:
     def test_zero_vector_rejected(self, t3):
         with pytest.raises(SweepError):
             fast_sweep(t3, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sweep", [fast_sweep, build_sweep_table, naive_sweep])
+    def test_non_finite_entry_rejected(self, sweep, bad):
+        g = make_random_graph(20, 60, seed=1, weighted=True)
+        x = np.random.default_rng(0).standard_normal(g.node_count)
+        x[3] = bad
+        with pytest.raises(SweepError, match="NaN or infinite"):
+            sweep(g, x)
 
     def test_randomized_equivalence_with_naive(self):
         rng = np.random.default_rng(12)
